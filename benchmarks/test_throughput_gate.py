@@ -83,7 +83,7 @@ def _measure(repeats: int = 3, scratch: Path | None = None) -> dict:
     with tempfile.TemporaryDirectory(dir=scratch) as tmp:
         path = Path(tmp) / "trace.rpt"
         for _ in range(repeats):
-            handle.trace.save(path, codec="v2")
+            handle.trace.save(path)
             best["trace.codec.encode"] = max(
                 best["trace.codec.encode"], _codec_gauge("encode"))
         for _ in range(repeats):

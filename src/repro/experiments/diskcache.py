@@ -9,15 +9,9 @@ artifact kinds to disk:
 
 ``traces/``
     one finished guest run per entry: the instruction trace as a
-    compressed columnar ``.rpt`` file (:mod:`repro.host.codec`; or a
-    compressed ``.npz`` under ``REPRO_TRACE_CODEC=npz``) plus a JSON
-    sidecar with the :class:`~repro.experiments.runner.RunHandle`
+    compressed columnar ``.rpt`` file (:mod:`repro.host.codec`) plus a
+    JSON sidecar with the :class:`~repro.experiments.runner.RunHandle`
     metadata (VM stats, site table, captured output, measured window).
-    Loads sniff the payload format, so caches written under either
-    codec — or by older schema-2 writers — read transparently; hits on
-    legacy-schema entries are *lazily migrated*: re-stored under the
-    current key and format, the old files deleted
-    (``cache.migrated``).
 
 ``states/``
     one :class:`~repro.uarch.system.MemorySideState` per entry: service
@@ -30,7 +24,10 @@ parameters for traces; run parameters plus the full machine geometry
 for states) salted with :data:`CACHE_SCHEMA`. Anything that would
 change the bytes changes the key, so there is no invalidation protocol
 beyond "bump the schema when the serialized layout changes" and
-"delete the directory when the simulator's behavior changes".
+"delete the directory when the simulator's behavior changes": entries
+of an older schema are plain misses, and :meth:`DiskCache.gc` evicts
+them as least recently used (payload files of a format no longer
+written are removed as orphans).
 
 **Durability and self-healing.** Each file is written to a per-process
 temporary name and renamed into place, the payload is written *first*,
@@ -59,7 +56,7 @@ Environment knobs:
 
 Fault injection: when a :class:`~repro.experiments.resilience.
 FaultPlan` arms ``cache_corrupt``, the cache deterministically flips
-bytes in ``.npz`` files it just stored so tests can prove the
+bytes in payload files it just stored so tests can prove the
 quarantine-and-recompute path end to end.
 """
 
@@ -74,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..host import codec as tracecodec
+from ..host.codec import RAW_ROW_BYTES, FrameReader
 from ..host.trace import InstructionTrace
 from ..telemetry import TELEMETRY
 from ..uarch.branch import BranchStats
@@ -84,16 +81,13 @@ from .resilience import FaultPlan
 
 #: Bump when the on-disk layout (or anything it captures) changes shape.
 #: 2: sidecars carry the paired payload's SHA-256 (``npz_sha256``).
-#: 3: trace payloads use the v2 columnar codec (``.rpt``) by default;
-#:    sidecars record ``payload_format`` and the trace ``rows``.
-CACHE_SCHEMA = 3
+#: 3: trace payloads use the v2 columnar codec (``.rpt``);
+#:    sidecars record the trace ``rows``.
+#: 4: ``.rpt`` is the only trace payload format.
+CACHE_SCHEMA = 4
 
-#: Older schemas whose keys are probed on a miss (read-compat): a hit
-#: under a legacy key is migrated to the current key and format.
-LEGACY_SCHEMAS = (2,)
-
-#: Payload extensions, probe order (v2 codec first, legacy npz second).
-_PAYLOAD_EXTS = (".rpt", ".npz")
+#: Payload extension per kind: v2 trace files, NumPy state archives.
+_PAYLOAD_EXT = {"traces": ".rpt", "states": ".npz"}
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_TOGGLE_ENV = "REPRO_CACHE"
@@ -133,15 +127,9 @@ def verify_enabled() -> bool:
     return toggle not in _OFF_VALUES
 
 
-def content_key(params: dict, schema: int | None = None) -> str:
-    """SHA-256 over the canonical JSON of ``params`` plus the schema.
-
-    ``schema`` defaults to the current layout; loads pass the entries
-    of :data:`LEGACY_SCHEMAS` to probe for migratable old entries.
-    """
-    if schema is None:
-        schema = CACHE_SCHEMA
-    payload = json.dumps({"schema": schema, **params},
+def content_key(params: dict) -> str:
+    """SHA-256 over the canonical JSON of ``params`` plus the schema."""
+    payload = json.dumps({"schema": CACHE_SCHEMA, **params},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -205,34 +193,11 @@ class DiskCache:
     def enabled(self) -> bool:
         return self.root is not None
 
-    def _payload_ext(self, kind: str) -> str:
-        """Extension new payloads of ``kind`` are written with."""
-        if kind == "traces" and tracecodec.trace_codec() == "v2":
-            return ".rpt"
-        return ".npz"
-
     def _paths(self, kind: str, key: str) -> tuple[Path, Path]:
-        """(payload path for a *new* store, sidecar path)."""
+        """(payload path, sidecar path) of one entry."""
         directory = self.root / kind
-        return (directory / f"{key}{self._payload_ext(kind)}",
+        return (directory / f"{key}{_PAYLOAD_EXT[kind]}",
                 directory / f"{key}.json")
-
-    def _find_payload(self, kind: str, key: str) -> Path | None:
-        """The existing payload for an entry, whatever its format."""
-        directory = self.root / kind
-        for ext in _PAYLOAD_EXTS:
-            path = directory / f"{key}{ext}"
-            if path.exists():
-                return path
-        return None
-
-    def _entry_files(self, kind: str, key: str) -> list[Path]:
-        """Every file that may belong to one entry (both payload
-        formats plus the sidecar)."""
-        directory = self.root / kind
-        files = [directory / f"{key}{ext}" for ext in _PAYLOAD_EXTS]
-        files.append(directory / f"{key}.json")
-        return files
 
     # ------------------------------------------------------------------
     # Integrity: orphans, quarantine, verification
@@ -249,7 +214,7 @@ class DiskCache:
             return False
         quarantine = self.root / QUARANTINE_DIR
         moved = False
-        for path in self._entry_files(kind, key):
+        for path in self._paths(kind, key):
             if not path.exists():
                 continue
             target = quarantine / f"{kind}-{path.name}"
@@ -289,10 +254,9 @@ class DiskCache:
         sidecar + a payload means a writer died between the two writes:
         the orphan is deleted and the entry is a miss.
         """
-        payload = self._find_payload(kind, key)
-        meta_path = self.root / kind / f"{key}.json"
+        payload, meta_path = self._paths(kind, key)
         if not meta_path.exists():
-            if payload is not None:
+            if payload.exists():
                 self._drop_orphan(kind, payload)
             return None
         try:
@@ -304,7 +268,7 @@ class DiskCache:
         if not isinstance(meta, dict):
             self.quarantine(kind, key)
             return None
-        if payload is None:
+        if not payload.exists():
             # Sidecar without payload (quarantined file, manual delete).
             self._drop_orphan(kind, meta_path)
             return None
@@ -358,40 +322,21 @@ class DiskCache:
 
     def _delete_entry(self, kind: str, key: str) -> None:
         """Remove an entry, sidecar (the commit record) first."""
-        files = self._entry_files(kind, key)
-        for path in [files[-1]] + files[:-1]:
+        payload, meta_path = self._paths(kind, key)
+        for path in (meta_path, payload):
             try:
                 path.unlink(missing_ok=True)
             except OSError:
                 pass
 
-    def load_run(self, key: str, key_params: dict | None = None):
+    def load_run(self, key: str):
         """Rebuild a RunHandle from disk (None on miss or corruption).
 
         The returned handle carries ``token=0``; the runner assigns a
-        fresh token when it adopts the handle into its caches. When
-        ``key_params`` is given, a miss also probes the legacy-schema
-        keys and migrates any hit to the current key and payload
-        format (deleting the old entry).
+        fresh token when it adopts the handle into its caches.
         """
         if not self.enabled:
             return None
-        handle = self._load_run_at(key)
-        if handle is not None or key_params is None:
-            return handle
-        for schema in LEGACY_SCHEMAS:
-            legacy_key = content_key(key_params, schema=schema)
-            handle = self._load_run_at(legacy_key)
-            if handle is None:
-                continue
-            self.store_run(key, handle, key_params=key_params)
-            self._delete_entry("traces", legacy_key)
-            TELEMETRY.metrics.counter("cache.migrated",
-                                      kind="traces").inc()
-            return handle
-        return None
-
-    def _load_run_at(self, key: str):
         from .runner import RunHandle
         loaded = self._load_sidecar("traces", key)
         if loaded is None:
@@ -399,18 +344,13 @@ class DiskCache:
         meta, payload = loaded
         meta.pop("npz_sha256", None)
         meta.pop("key_params", None)
-        meta.pop("payload_format", None)
         meta.pop("rows", None)
         try:
-            if tracecodec.sniff(payload) == "v2":
-                # Reader-backed lazy trace; late decode failures (e.g.
-                # with REPRO_CACHE_VERIFY=off) still quarantine first.
-                reader = tracecodec.FrameReader(
-                    payload,
-                    on_corrupt=lambda: self.quarantine("traces", key))
-                trace = InstructionTrace._from_reader(reader)
-            else:
-                trace = InstructionTrace.load(payload)
+            # Reader-backed lazy trace; late decode failures (e.g. with
+            # REPRO_CACHE_VERIFY=off) still quarantine first.
+            reader = FrameReader(
+                payload, on_corrupt=lambda: self.quarantine("traces", key))
+            trace = InstructionTrace._from_reader(reader)
             meta["site_table"] = {name: int(pc) for name, pc
                                   in meta.get("site_table", {}).items()}
             handle = RunHandle(trace=trace, token=0, **meta)
@@ -430,9 +370,7 @@ class DiskCache:
         if not self.enabled:
             return
         payload_path, meta_path = self._paths("traces", key)
-        fmt = tracecodec.trace_codec()
         meta = {
-            "payload_format": fmt,
             "rows": len(handle.trace),
             "workload": handle.workload,
             "runtime": handle.runtime,
@@ -459,14 +397,9 @@ class DiskCache:
             meta["key_params"] = key_params
         try:
             payload_path.parent.mkdir(parents=True, exist_ok=True)
-            # v2 writes columnar frames; the npz codec now compresses
-            # too (store cost is paid once, reads dominate).
-            _atomic_write(
-                payload_path,
-                lambda tmp: handle.trace.save(tmp, codec=fmt))
+            _atomic_write(payload_path, handle.trace.save)
             self._finish_store("traces", key, payload_path, meta_path,
                                meta)
-            self._drop_sibling_payload("traces", key, payload_path)
             TELEMETRY.metrics.counter("cache.encode_bytes",
                                       kind="traces").inc(
                 payload_path.stat().st_size)
@@ -481,43 +414,13 @@ class DiskCache:
             TELEMETRY.metrics.counter("cache.write_errors",
                                       kind="traces").inc()
 
-    def _drop_sibling_payload(self, kind: str, key: str,
-                              payload_path: Path) -> None:
-        """Remove the other-format payload after a re-store, so stale
-        bytes can never shadow the sidecar's checksum."""
-        for ext in _PAYLOAD_EXTS:
-            sibling = payload_path.with_suffix(ext)
-            if sibling != payload_path:
-                try:
-                    sibling.unlink(missing_ok=True)
-                except OSError:
-                    pass
-
     # ------------------------------------------------------------------
     # Memory-side states
     # ------------------------------------------------------------------
 
-    def load_state(self, key: str,
-                   key_params: dict | None = None,
-                   ) -> MemorySideState | None:
+    def load_state(self, key: str) -> MemorySideState | None:
         if not self.enabled:
             return None
-        state = self._load_state_at(key)
-        if state is not None or key_params is None:
-            return state
-        for schema in LEGACY_SCHEMAS:
-            legacy_key = content_key(key_params, schema=schema)
-            state = self._load_state_at(legacy_key)
-            if state is None:
-                continue
-            self.store_state(key, state, key_params=key_params)
-            self._delete_entry("states", legacy_key)
-            TELEMETRY.metrics.counter("cache.migrated",
-                                      kind="states").inc()
-            return state
-        return None
-
-    def _load_state_at(self, key: str) -> MemorySideState | None:
         loaded = self._load_sidecar("states", key)
         if loaded is None:
             return None
@@ -675,11 +578,16 @@ class DiskCache:
             directory = self.root / kind
             if not directory.is_dir():
                 continue
-            sidecars = {p.stem: p for p in directory.glob("*.json")}
+            sidecars: dict[str, Path] = {}
             payloads: dict[str, Path] = {}
-            for ext in _PAYLOAD_EXTS:
-                for path in directory.glob(f"*{ext}"):
-                    payloads.setdefault(path.stem, path)
+            for path in directory.iterdir():
+                if path.suffix == ".json":
+                    sidecars[path.stem] = path
+                elif path.suffix == _PAYLOAD_EXT[kind]:
+                    payloads[path.stem] = path
+                elif not path.suffix.startswith(".tmp"):
+                    # A payload format this schema no longer writes.
+                    self._drop_orphan(kind, path)
             for stem, path in payloads.items():
                 if stem not in sidecars:
                     self._drop_orphan(kind, path)
@@ -730,13 +638,10 @@ class DiskCache:
             entries = picked
         for kind, key in entries:
             stats["checked"] += 1
-            meta_path = self.root / kind / f"{key}.json"
-            payload_path = self._find_payload(kind, key)
+            payload_path, meta_path = self._paths(kind, key)
             try:
                 with open(meta_path, "r", encoding="utf-8") as handle:
                     meta = json.load(handle)
-                if payload_path is None:
-                    raise OSError("payload missing")
                 actual = file_sha256(payload_path)
             except (OSError, ValueError, UnicodeDecodeError):
                 stats["checksum_mismatches"] += 1
@@ -754,11 +659,7 @@ class DiskCache:
                 stats["unkeyed"] += 1
                 stats["ok"] += 1
                 continue
-            # A not-yet-migrated legacy entry legitimately carries a
-            # legacy-schema key; only a key no schema derives is wrong.
-            schemas = (CACHE_SCHEMA,) + LEGACY_SCHEMAS
-            if all(content_key(key_params, schema=s) != key
-                   for s in schemas):
+            if content_key(key_params) != key:
                 stats["key_mismatches"] += 1
                 TELEMETRY.metrics.counter("cache.key_mismatch",
                                           kind=kind).inc()
@@ -831,13 +732,11 @@ class DiskCache:
         for kind in _KINDS:
             count = size = 0
             payload_bytes = rows = 0
-            formats: dict[str, int] = {}
             directory = self.root / kind
             if directory.is_dir():
                 for meta_path in directory.glob("*.json"):
-                    payload_path = self._find_payload(kind,
-                                                      meta_path.stem)
-                    if payload_path is None:
+                    payload_path, _ = self._paths(kind, meta_path.stem)
+                    if not payload_path.exists():
                         continue
                     count += 1
                     try:
@@ -852,13 +751,8 @@ class DiskCache:
                         meta = json.loads(
                             meta_path.read_text(encoding="utf-8"))
                         rows += int(meta.get("rows", 0))
-                        fmt = meta.get(
-                            "payload_format",
-                            "npz" if payload_path.suffix == ".npz"
-                            else "v2")
                     except (OSError, ValueError, TypeError):
-                        fmt = "unknown"
-                    formats[fmt] = formats.get(fmt, 0) + 1
+                        pass
             usage[kind] = {"entries": count, "bytes": size}
             if kind == "traces":
                 # Codec footprint: payload bytes per traced
@@ -866,12 +760,11 @@ class DiskCache:
                 # columnar layout the consumers decode into.
                 usage[kind]["payload_bytes"] = payload_bytes
                 usage[kind]["rows"] = rows
-                usage[kind]["formats"] = formats
                 if payload_bytes and rows:
                     usage[kind]["bytes_per_instruction"] = \
                         payload_bytes / rows
                     usage[kind]["compression_ratio"] = \
-                        rows * tracecodec.RAW_ROW_BYTES / payload_bytes
+                        rows * RAW_ROW_BYTES / payload_bytes
             usage["entries"] += count
             usage["bytes"] += size
         spill_dir = self.root / SPILL_DIR

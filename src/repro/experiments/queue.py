@@ -42,8 +42,8 @@ well-defined state:
   campaign forever. Reclaimers that die mid-move are themselves healed:
   stale ``reclaiming/`` entries are swept back to ``pending/``.
 * **complete** — the worker appends the pickled result to the fsynced
-  ``results.journal`` *first* (the journal is the commit record; torn
-  final lines are skipped on read) and then renames ``leased/X`` →
+  ``results.journal`` *first* (the journal is the commit record, kept
+  by :mod:`repro.journal`) and then renames ``leased/X`` →
   ``done/X``. A cell reclaimed out from under a slow-but-alive worker
   may therefore complete twice; execution goes through the
   content-addressed disk cache, so at-least-once still yields
@@ -86,6 +86,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import journal
 from ..errors import ExperimentError
 from ..telemetry import TELEMETRY
 from .resilience import FaultPlan
@@ -391,11 +392,11 @@ class WorkQueue:
         already has a journal record, a state file, or a poison marker
         is skipped — that is what makes coordinator resume idempotent.
         """
-        journal = self.results()
+        journaled = self.results()
         published = 0
         for cell in cells:
             cell_id = cell["cell"]
-            if cell_id in journal:
+            if cell_id in journaled:
                 continue
             if any(self._cell_path(state, cell_id).exists()
                    for state in _CELL_DIRS):
@@ -514,15 +515,7 @@ class WorkQueue:
     # -- results journal -----------------------------------------------
 
     def append_result(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            try:
-                os.fsync(handle.fileno())
-            except OSError:
-                pass
+        journal.append(self.journal_path, record)
 
     def results(self) -> dict[str, dict]:
         """Journal records by cell id (first completion wins).
@@ -539,29 +532,9 @@ class WorkQueue:
             # Journal replaced/truncated underneath us: re-read fully.
             self._journal_offset = 0
             self._journal_records = {}
-        if size == self._journal_offset:
-            return dict(self._journal_records)
-        try:
-            with open(self.journal_path, "r", encoding="utf-8") as handle:
-                handle.seek(self._journal_offset)
-                chunk = handle.read()
-        except OSError:
-            return dict(self._journal_records)
-        # Only consume complete lines; a torn tail is re-read (and by
-        # then either finished or skipped as garbage).
-        consumed = chunk.rfind("\n") + 1
-        self._journal_offset += len(
-            chunk[:consumed].encode("utf-8"))
-        for line in chunk[:consumed].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
+        records, self._journal_offset = journal.read(
+            self.journal_path, self._journal_offset)
+        for record in records:
             cell_id = record.get("cell")
             if isinstance(cell_id, str) \
                     and cell_id not in self._journal_records:

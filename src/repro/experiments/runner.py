@@ -211,8 +211,7 @@ class ExperimentRunner:
             return handle
         trace_params = self._trace_key_params(*key[:4], warmup_runs)
         disk_key = content_key(trace_params)
-        cached = self.disk_cache.load_run(disk_key,
-                                          key_params=trace_params)
+        cached = self.disk_cache.load_run(disk_key)
         if cached is not None:
             metrics.counter("runner.trace_cache.hit", runtime=runtime).inc()
             metrics.counter("runner.disk_cache.hit", kind="trace").inc()
@@ -343,8 +342,7 @@ class ExperimentRunner:
             return state
         state_params = self._state_key_params(handle, config)
         disk_key = content_key(state_params)
-        state = self.disk_cache.load_state(disk_key,
-                                           key_params=state_params)
+        state = self.disk_cache.load_state(disk_key)
         if state is not None and len(state.dlevel) != len(handle.trace):
             # Checksums catch bit rot, not a state that parses cleanly
             # but belongs to a different-length trace (e.g. a cache dir

@@ -35,9 +35,8 @@ journaled as terminal so a re-ask cannot resurrect expired work.
 
 **Crash safety.** Every accepted request is fsynced to an append-only
 session journal under ``<cache-root>/serve/`` *before* it is queued,
-and every outcome is journaled before it is answered — the same
-torn-tail-tolerant JSONL discipline as the work queue's results
-journal. A server that is SIGKILLed mid-campaign restarts, replays the
+and every outcome is journaled before it is answered, through the
+same :mod:`repro.journal` as the work queue's results journal. A server that is SIGKILLed mid-campaign restarts, replays the
 journal, re-enqueues accepted-but-unfinished requests, and clients
 simply re-ask by request key: they get the journaled answer, a seat
 waiting on the re-run, or at worst a recomputation that is
@@ -76,6 +75,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .. import journal
 from ..errors import ExperimentError
 from ..telemetry import TELEMETRY
 from .client import (
@@ -159,49 +159,27 @@ class TokenBucket:
 
 class SessionJournal:
     """Append-only fsynced request/result journal (the commit record
-    a restarted server resumes from — same discipline as the work
-    queue's results journal, torn tails skipped on read)."""
+    a restarted server resumes from), kept by :mod:`repro.journal`."""
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_NAME
 
     def append(self, record: dict) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps({"schema": SERVE_SCHEMA, **record},
-                          sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            try:
-                os.fsync(handle.fileno())
-            except OSError:
-                pass
+        journal.append(self.path, {"schema": SERVE_SCHEMA, **record})
 
     def load(self) -> tuple[dict[str, dict], dict[str, dict]]:
         """Replay the journal: ``(requests, results)`` by key.
 
         First record per key wins (results are idempotent; a duplicate
-        acceptance after a resume changes nothing). Unparseable lines —
-        a torn tail from a crash mid-append — are skipped and cost at
-        most one request's worth of recomputation.
+        acceptance after a resume changes nothing). A torn tail from a
+        crash mid-append is skipped and costs at most one request's
+        worth of recomputation.
         """
         requests: dict[str, dict] = {}
         results: dict[str, dict] = {}
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return requests, results
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict) \
-                    or record.get("schema") != SERVE_SCHEMA:
+        for record in journal.read(self.path)[0]:
+            if record.get("schema") != SERVE_SCHEMA:
                 continue
             key = record.get("key")
             kind = record.get("type")

@@ -34,6 +34,7 @@ import json
 import os
 from pathlib import Path
 
+from .. import journal
 from . import TELEMETRY
 
 #: Bump when the record layout changes incompatibly.
@@ -217,12 +218,7 @@ class RunRegistry:
                         encoding="utf-8")
                     record["manifest_path"] = str(copy)
                     self._prune_manifests_unlocked()
-                line = json.dumps(record, sort_keys=True, default=str)
-                with open(self.runs_path, "a",
-                          encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                journal.append(self.runs_path, record)
         except LockTimeout:
             # A wedged appender elsewhere must not hang this process;
             # one dropped summary record is the cheaper failure.
@@ -258,24 +254,8 @@ class RunRegistry:
     # ------------------------------------------------------------------
 
     def _read_unlocked(self) -> list[dict]:
-        """Parse the JSONL, skipping torn/invalid lines."""
-        if not self.runs_path.exists():
-            return []
-        records = []
-        try:
-            with open(self.runs_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn write (killed appender)
-                    if isinstance(record, dict):
-                        records.append(record)
-        except OSError:
-            return []
+        """Valid records by sequence number (torn lines skipped)."""
+        records = journal.read(self.runs_path)[0]
         records.sort(key=lambda r: r.get("seq", 0))
         return records
 

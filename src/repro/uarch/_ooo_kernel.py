@@ -2,36 +2,20 @@
 
 The OOO model is a pure forward max-plus recurrence over integer ticks
 (:func:`~repro.uarch.ooo_core.ooo_cycles_scalar`), so a ~60-line C loop
-reproduces it bit for bit at memory speed. When a C compiler is
-available this module builds that loop into a per-process shared
-library (one ``cc -O2`` invocation, cached for the process lifetime)
-and the vectorized backend dispatches single-config walks to it,
-releasing the GIL so config sweeps can also thread. Everything is
-best-effort: no compiler, a failed build, or ``REPRO_OOO_KERNEL=off``
-all degrade silently to the batched-NumPy engine.
-
-This is deliberately *not* a build-time extension: the repository must
-stay importable from source with nothing but numpy, so the kernel is
-an opportunistic accelerator with the same contract as the pure-Python
-engines — bit-identical results for every trace and config.
+reproduces it bit for bit at memory speed. :mod:`repro._cc` builds that
+loop at first use and the vectorized backend dispatches single-config
+walks to it, releasing the GIL so config sweeps can also thread.
+Without it the backend falls back to the batched-NumPy engine, with the
+same contract: bit-identical results for every trace and config.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
-import os
-import shutil
-import subprocess
-import sys
-import tempfile
-import threading
 
 import numpy as np
 
-#: Environment switch: ``auto`` (default) compiles when possible,
-#: ``off`` disables the kernel entirely (pure-NumPy vector path).
-KERNEL_ENV = "REPRO_OOO_KERNEL"
+from .. import _cc
 
 _MAX_MSHRS = 64
 
@@ -109,28 +93,9 @@ void ooo_kernel(int64_t n,
 }
 """
 
-_lock = threading.Lock()
-_kernel = None
-_kernel_tried = False
-
-
 def _build() -> ctypes.CDLL | None:
-    cc = (os.environ.get("CC") or shutil.which("cc")
-          or shutil.which("gcc") or shutil.which("clang"))
-    if cc is None:
-        return None
-    tmpdir = tempfile.mkdtemp(prefix="repro-ooo-kernel-")
-    atexit.register(shutil.rmtree, tmpdir, ignore_errors=True)
-    src = os.path.join(tmpdir, "ooo_kernel.c")
-    suffix = ".dylib" if sys.platform == "darwin" else ".so"
-    lib = os.path.join(tmpdir, "ooo_kernel" + suffix)
-    with open(src, "w", encoding="utf-8") as fh:
-        fh.write(_SOURCE)
-    cmd = [cc, "-O2", "-shared", "-fPIC", "-o", lib, src]
-    try:
-        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
-        dll = ctypes.CDLL(lib)
-    except (OSError, subprocess.SubprocessError):
+    dll = _cc.load("ooo_kernel", _SOURCE)
+    if dll is None:
         return None
     i64 = ctypes.c_int64
     p64 = ctypes.POINTER(ctypes.c_int64)
@@ -145,20 +110,12 @@ def _build() -> ctypes.CDLL | None:
     return dll
 
 
+_once = _cc.Once()
+
+
 def get_kernel() -> ctypes.CDLL | None:
     """The compiled kernel, building it on first use (or ``None``)."""
-    global _kernel, _kernel_tried
-    if os.environ.get(KERNEL_ENV, "auto").lower() in ("off", "0", "no"):
-        return None
-    with _lock:
-        if not _kernel_tried:
-            _kernel_tried = True
-            _kernel = _build()
-    return _kernel
-
-
-def kernel_available() -> bool:
-    return get_kernel() is not None
+    return _once(_build)
 
 
 def _as_i64(arr: np.ndarray) -> np.ndarray:
@@ -198,7 +155,7 @@ def prepare(trace_arrays, dlevel, ilevel, mispredicted) -> PreparedTrace:
 def run_prepared(prep: PreparedTrace, config) -> float:
     """One compiled walk of a prepared trace; == the scalar loop.
 
-    Callers must check :func:`kernel_available` first.
+    Callers must check :func:`get_kernel` first.
     """
     from .ooo_core import (KIND_LATENCY_TICKS, MSHRS, TICKS, _RING,
                            _fetch_penalties, _load_latencies,
@@ -243,7 +200,7 @@ def run_prepared(prep: PreparedTrace, config) -> float:
 def run_kernel(trace_arrays, dlevel, ilevel, mispredicted, config) -> float:
     """One compiled walk of the trace; bit-identical to the scalar loop.
 
-    Callers must check :func:`kernel_available` first.
+    Callers must check :func:`get_kernel` first.
     """
     return run_prepared(
         prepare(trace_arrays, dlevel, ilevel, mispredicted), config)

@@ -48,7 +48,7 @@ When a C compiler is present, single-config walks short-circuit to the
 per-process compiled kernel in :mod:`~repro.uarch._ooo_kernel` — the
 recurrence is a pure forward loop, so the kernel reproduces the scalar
 engine bit for bit at memory speed, and batched walks thread it across
-configs (it releases the GIL). ``REPRO_OOO_KERNEL=off`` or a missing
+configs (it releases the GIL). ``REPRO_KERNELS=off`` or a missing
 compiler falls back to the relaxation engine below; all three paths
 return identical bits.
 """
@@ -153,9 +153,9 @@ def ooo_cycles_many_vector(trace_arrays: dict[str, np.ndarray],
     # Compiled fast path: the recurrence is a pure forward walk, so
     # when a C compiler is present each config runs through the
     # per-process kernel (bit-identical to the scalar loop, GIL
-    # released, configs threaded). ``REPRO_OOO_KERNEL=off`` or a
+    # released, configs threaded). ``REPRO_KERNELS=off`` or a
     # missing compiler falls back to the relaxation below.
-    if _ooo_kernel.kernel_available():
+    if _ooo_kernel.get_kernel() is not None:
         if TELEMETRY.enabled:
             TELEMETRY.metrics.counter(
                 "sim.ooo_vector.kernel_calls").inc(n_cfg)

@@ -3,7 +3,7 @@
 The burst engine, the compiled flush kernel, and spill-to-disk storage
 are pure performance features: traces, category breakdowns, and cache
 keys must be byte-identical across every ``REPRO_EMIT_BACKEND`` x
-``REPRO_EMIT_KERNEL`` x spill combination — and across interpreter
+``REPRO_KERNELS`` x spill combination — and across interpreter
 hash-seed randomization, since nothing observable may depend on
 ``hash()``.
 """
@@ -43,7 +43,7 @@ COMBOS = [
 def _run_combo(monkeypatch, tmp_path, backend: str, kernel: bool,
                spill: bool):
     monkeypatch.setenv("REPRO_EMIT_BACKEND", backend)
-    monkeypatch.setenv("REPRO_EMIT_KERNEL", "auto" if kernel else "off")
+    monkeypatch.setenv("REPRO_KERNELS", "auto" if kernel else "off")
     if spill:
         # 1 MB ~ 16K rows: well under the workload's trace, so the
         # buffer genuinely migrates to a memmap mid-run.

@@ -66,7 +66,7 @@ def test_run_sweep_identical_across_backends_and_jobs(monkeypatch):
                                   ("kernel", "vector", "auto"),
                                   ("auto", "auto", "auto")):
         monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-        monkeypatch.setenv("REPRO_OOO_KERNEL", kernel)
+        monkeypatch.setenv("REPRO_KERNELS", kernel)
         runner = ExperimentRunner(scale=1)
         results[name] = run_sweep(runner, ["sym_sum"], axes=axes).cpi
     assert results["scalar"] == results["numpy"] == results["kernel"] \

@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import _cc
 from repro.config import (
     BranchPredictorConfig,
     MachineConfig,
@@ -179,7 +180,7 @@ def _ooo_sweep_configs() -> list[MachineConfig]:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ooo_vector_bit_identical_any_chunk(seed, chunk, monkeypatch):
     """NumPy relaxation path == scalar loop for any chunk size."""
-    monkeypatch.setenv(_ooo_kernel.KERNEL_ENV, "off")
+    monkeypatch.setenv(_cc.KERNELS_ENV, "off")
     monkeypatch.setenv(CHUNK_ENV, str(chunk))
     configs = _ooo_sweep_configs()
     for n in (1, 3, 17, 1000, 5000):
@@ -191,7 +192,7 @@ def test_ooo_vector_bit_identical_any_chunk(seed, chunk, monkeypatch):
 
 def test_ooo_kernel_bit_identical():
     """Compiled kernel path == scalar loop (single and batched)."""
-    if not _ooo_kernel.kernel_available():
+    if _ooo_kernel.get_kernel() is None:
         pytest.skip("no C compiler available")
     configs = _ooo_sweep_configs()
     for seed, n in ((0, 2500), (1, 5000)):
