@@ -104,7 +104,10 @@ def test_telemetry_smoke(tmp_path, monkeypatch):
     assert metrics.get("runner.trace_cache.hit{runtime=pypy}", 0) >= 2
     if runner.disk_cache.enabled:
         assert metrics.get("runner.disk_cache.hit{kind=trace}", 0) >= 1
-        assert metrics.get("runner.disk_cache.hit{kind=state}", 0) >= 1
+        assert metrics.get("runner.disk_cache.hit{kind=cache_part}",
+                           0) >= 1
+        assert metrics.get("runner.disk_cache.hit{kind=branch_part}",
+                           0) >= 1
     manifest = build_manifest(command="benchmarks.telemetry_smoke")
     assert json.loads(json.dumps(manifest)) == manifest
     assert path.exists()

@@ -2,7 +2,9 @@
 
 Acceptance targets for the vectorization work, all on the same
 million-instruction deltablue trace with bit-identical outputs: the
-batched memory-side engines at least 5x over the scalar reference, the
+batched memory-side engines (the cache walk through its compiled LRU
+kernel; its NumPy-wave fallback is reported beside it) at least 5x
+over the scalar reference, the
 OOO core at least 3x, and a warm Figure 7 sweep axis at least 2x via
 the batched config walk. The measured numbers land in
 ``benchmarks/results/vectorized_speed.txt``; in-test assertion floors
@@ -40,7 +42,7 @@ def _best_of(n, fn):
     return best, result
 
 
-def test_vectorized_speedup_on_megainstruction_trace():
+def test_vectorized_speedup_on_megainstruction_trace(monkeypatch):
     # deltablue on CPython at scale 2 emits a ~1.08M-instruction trace.
     runner = ExperimentRunner(scale=2)
     handle = runner.run("deltablue", runtime="cpython")
@@ -54,6 +56,12 @@ def test_vectorized_speedup_on_megainstruction_trace():
     vector_s, vector_cache = _best_of(
         3, lambda: simulate_cache_hierarchy(arrays, config,
                                             backend="auto"))
+    # The same engine without the compiled LRU walk: NumPy waves.
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_KERNELS", "off")
+        waves_s, waves_cache = _best_of(
+            3, lambda: simulate_cache_hierarchy(arrays, config,
+                                                backend="auto"))
     scalar_bs, scalar_branch = _best_of(
         2, lambda: simulate_branches_scalar(arrays, config.branch))
     vector_bs, vector_branch = _best_of(
@@ -61,10 +69,10 @@ def test_vectorized_speedup_on_megainstruction_trace():
                                      backend="auto"))
 
     # Identical outputs first: speed means nothing if the bits differ.
-    assert np.array_equal(scalar_cache.dlevel, vector_cache.dlevel)
-    assert np.array_equal(scalar_cache.ilevel, vector_cache.ilevel)
-    for name in scalar_cache.stats:
-        assert scalar_cache.stats[name] == vector_cache.stats[name]
+    for cache in (vector_cache, waves_cache):
+        assert np.array_equal(scalar_cache.dlevel, cache.dlevel)
+        assert np.array_equal(scalar_cache.ilevel, cache.ilevel)
+        assert scalar_cache.stats == cache.stats
     assert np.array_equal(scalar_branch[0], vector_branch[0])
     assert scalar_branch[1] == vector_branch[1]
 
@@ -78,6 +86,9 @@ def test_vectorized_speedup_on_megainstruction_trace():
         f"trace length        : {n:,} instructions",
         f"cache  scalar/vector: {scalar_s:.3f}s / {vector_s:.3f}s "
         f"({cache_speedup:.1f}x)",
+        f"cache  waves/LRU C  : {waves_s:.3f}s / {vector_s:.3f}s "
+        f"({waves_s / vector_s:.1f}x; NumPy waves are "
+        f"{scalar_s / waves_s:.1f}x over scalar)",
         f"branch scalar/vector: {scalar_bs:.3f}s / {vector_bs:.3f}s "
         f"({branch_speedup:.1f}x)",
         f"combined            : {total_scalar:.3f}s / "

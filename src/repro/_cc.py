@@ -1,9 +1,10 @@
 """Build a compiled kernel at first use, once per process.
 
 The repository stays importable from source with nothing but numpy, so
-its three C kernels (the burst-emission flush in
+its four C kernels (the burst-emission flush in
 :mod:`repro.host._emit_kernel`, the codec's varint loop in
-:mod:`repro.host._codec_kernel` and the OOO-core recurrence in
+:mod:`repro.host._codec_kernel`, the exact-LRU cache walk in
+:mod:`repro.uarch._lru_kernel` and the OOO-core recurrence in
 :mod:`repro.uarch._ooo_kernel`) are not build-time extensions: each
 module hands its C source to :func:`load`, which runs one
 ``cc -O2 -shared -fPIC`` into a private temp dir and loads the result

@@ -2,7 +2,9 @@
 
 Breakdowns use the simple core model so that every cycle belongs to one
 instruction and hence one category (Section IV-B.2), and resolve
-caller-dependent sites through the pintool's origin rules.
+caller-dependent sites through the pintool's origin rules. Given the
+runner that produced a run, they read its service levels from the
+runner's cached cache part, the one the sweeps share.
 """
 
 from __future__ import annotations
@@ -14,24 +16,37 @@ from ..config import MachineConfig, skylake_config
 from ..host.isa import InstrKind
 from ..pintool.annotate import AnnotationTable
 from ..pintool.postprocess import Breakdown, resolve_categories
-from ..uarch.cache import simulate_cache_hierarchy
 from ..uarch.simple_core import simple_core_cycles
+from ..uarch.system import simulate_parts
 from ..experiments.runner import ExperimentRunner, RunHandle
 
 _CCALL = int(OverheadCategory.C_FUNCTION_CALL)
 
 
+def simple_cycles(handle: RunHandle, config: MachineConfig | None,
+                  runner: ExperimentRunner | None) -> np.ndarray:
+    """Per-instruction simple-core cycles of one run.
+
+    The service levels come from ``runner``'s cached cache part when a
+    runner is given (it must be the one that produced ``handle``), and
+    are simulated afresh otherwise.
+    """
+    if config is None:
+        config = skylake_config()
+    if runner is not None:
+        part = runner.cache_part(handle, config)
+    else:
+        (part,), _ = simulate_parts(handle.trace, [config])
+    return simple_core_cycles(part.dlevel, part.ilevel, config)
+
+
 def breakdown_for_run(handle: RunHandle,
                       config: MachineConfig | None = None,
                       annotations: AnnotationTable | None = None,
+                      runner: ExperimentRunner | None = None,
                       ) -> Breakdown:
     """Category breakdown of one finished run."""
-    if config is None:
-        config = skylake_config()
-    arrays = handle.trace.arrays()
-    cache_result = simulate_cache_hierarchy(arrays, config)
-    cycles = simple_core_cycles(cache_result.dlevel, cache_result.ilevel,
-                                config)
+    cycles = simple_cycles(handle, config, runner)
     categories = resolve_categories(handle.trace, handle.site_table,
                                     annotations)
     sums = np.bincount(categories, weights=cycles, minlength=32)
@@ -53,7 +68,7 @@ def suite_breakdowns(runner: ExperimentRunner, workloads,
     for name in workloads:
         handle = runner.run(name, runtime=runtime, jit=jit,
                             nursery=nursery)
-        results[name] = breakdown_for_run(handle, config)
+        results[name] = breakdown_for_run(handle, config, runner=runner)
     return results
 
 
@@ -73,18 +88,16 @@ def average_shares(breakdowns: dict[str, Breakdown],
 
 
 def indirect_call_fraction(handle: RunHandle,
-                           config: MachineConfig | None = None) -> tuple:
+                           config: MachineConfig | None = None,
+                           runner: ExperimentRunner | None = None,
+                           ) -> tuple:
     """(indirect share of C-call cycles, indirect share of all cycles).
 
     Section IV-C.1 reports indirect calls as 11.9% of the C function
     call overhead and ~1.9% of overall execution on average.
     """
-    if config is None:
-        config = skylake_config()
+    cycles = simple_cycles(handle, config, runner)
     arrays = handle.trace.arrays()
-    cache_result = simulate_cache_hierarchy(arrays, config)
-    cycles = simple_core_cycles(cache_result.dlevel, cache_result.ilevel,
-                                config)
     categories = arrays["category"]
     kinds = arrays["kind"]
     ccall_mask = categories == _CCALL

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from ..categories import OverheadCategory
 from ..config import MachineConfig, skylake_config
 from ..errors import ExperimentError
-from ..uarch.simple_core import simple_core_cycles
 from ..experiments.runner import ExperimentRunner, RunHandle
+from .breakdown import simple_cycles
 
 KB = 1024
 MB = 1024 * KB
@@ -125,18 +125,19 @@ def run_sweep(runner: ExperimentRunner, workloads,
     if axes is None:
         axes = {name: values for name, (values, _) in SWEEP_AXES.items()}
     from ..experiments.parallel import fan_out
-    from ..experiments.runner import memory_side_key
+    from ..experiments.runner import part_count
     result = SweepResult(axes=dict(axes))
     cells = [(label, runtime, jit, workload, dict(axes), base, nursery)
              for label, runtime, jit in variants
              for workload in workloads]
     # Size the runner's caches to this sweep's own grid: one trace per
-    # (variant, workload) cell, one memory-side state per distinct
-    # memory geometry the axes touch (latency/width axes share one).
-    mem_keys = {memory_side_key(axis_config(base, axis, value))
-                for axis, values in axes.items() for value in values}
-    runner.ensure_cache_capacity(
-        traces=len(cells), states=len(cells) * len(mem_keys))
+    # (variant, workload) cell, and per trace one cache part per
+    # distinct cache geometry plus one branch part per distinct
+    # predictor the axes touch (latency/width axes share both).
+    parts = part_count(axis_config(base, axis, value)
+                       for axis, values in axes.items() for value in values)
+    runner.ensure_cache_capacity(traces=len(cells),
+                                 states=len(cells) * parts)
     sums: dict[tuple, float] = {}
     for cell_cpis in fan_out(runner, _variant_cell, cells, jobs):
         for key, cpi in cell_cpis.items():
@@ -151,21 +152,17 @@ def run_sweep(runner: ExperimentRunner, workloads,
 
 
 def phase_cpis(handle: RunHandle, config: MachineConfig | None = None,
+               runner: ExperimentRunner | None = None,
                ) -> dict[str, float]:
     """Simple-core CPI per PyPy execution phase (Figure 7 legend).
 
     Phases follow the paper: the bytecode interpreter (including the
     meta-interpreter/tracing work), the garbage collector, and JIT
-    compiled code.
+    compiled code. Service levels come from ``runner``'s cache part
+    when given (see :func:`~repro.analysis.breakdown.simple_cycles`).
     """
-    if config is None:
-        config = skylake_config()
-    from ..uarch.cache import simulate_cache_hierarchy
-    arrays = handle.trace.arrays()
-    cache_result = simulate_cache_hierarchy(arrays, config)
-    cycles = simple_core_cycles(cache_result.dlevel, cache_result.ilevel,
-                                config)
-    categories = arrays["category"]
+    cycles = simple_cycles(handle, config, runner)
+    categories = handle.trace.arrays()["category"]
     gc_mask = categories == _GC
     jit_mask = categories == _JIT_CODE
     interp_mask = ~(gc_mask | jit_mask)

@@ -1,4 +1,4 @@
-"""Persistent content-addressed cache for guest runs and sim states.
+"""Persistent content-addressed cache for guest runs and sim parts.
 
 The in-memory caches on :class:`~repro.experiments.runner.
 ExperimentRunner` are bounded, so the nursery figure family (Figures
@@ -13,15 +13,20 @@ artifact kinds to disk:
     JSON sidecar with the :class:`~repro.experiments.runner.RunHandle`
     metadata (VM stats, site table, captured output, measured window).
 
-``states/``
-    one :class:`~repro.uarch.system.MemorySideState` per entry: service
-    level and mispredict arrays in an ``.npz``, cache/branch counters
-    in the sidecar.
+``cache_parts/``
+    one cache part of a memory side (:mod:`repro.uarch.system`) per
+    entry: the data and fetch service levels in an ``.npz``, per-level
+    counters and memory line traffic in the sidecar.
+
+``branch_parts/``
+    one branch part per entry: the mispredict flags in an ``.npz``, the
+    predictor counters in the sidecar.
 
 Entries are content-addressed: the file name is the SHA-256 of the
 canonical JSON of every parameter that determines the artifact (run
-parameters for traces; run parameters plus the full machine geometry
-for states) salted with :data:`CACHE_SCHEMA`. Anything that would
+parameters for traces; run parameters plus the part's own geometry --
+the four cache levels, or the predictor tables -- for parts) salted
+with :data:`CACHE_SCHEMA`. Anything that would
 change the bytes changes the key, so there is no invalidation protocol
 beyond "bump the schema when the serialized layout changes" and
 "delete the directory when the simulator's behavior changes": entries
@@ -76,7 +81,7 @@ from ..host.trace import InstructionTrace
 from ..telemetry import TELEMETRY
 from ..uarch.branch import BranchStats
 from ..uarch.cache import CacheStats
-from ..uarch.system import MemorySideState
+from ..uarch.system import BranchPart, CachePart
 from .resilience import FaultPlan
 
 #: Bump when the on-disk layout (or anything it captures) changes shape.
@@ -84,10 +89,12 @@ from .resilience import FaultPlan
 #: 3: trace payloads use the v2 columnar codec (``.rpt``);
 #:    sidecars record the trace ``rows``.
 #: 4: ``.rpt`` is the only trace payload format.
-CACHE_SCHEMA = 4
+#: 5: memory sides are stored as separate cache and branch parts.
+CACHE_SCHEMA = 5
 
-#: Payload extension per kind: v2 trace files, NumPy state archives.
-_PAYLOAD_EXT = {"traces": ".rpt", "states": ".npz"}
+#: Payload extension per kind: v2 trace files, NumPy part archives.
+_PAYLOAD_EXT = {"traces": ".rpt", "cache_parts": ".npz",
+                "branch_parts": ".npz"}
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_TOGGLE_ENV = "REPRO_CACHE"
@@ -107,10 +114,10 @@ TMP_MAX_AGE_SECONDS = 3600.0
 
 _OFF_VALUES = frozenset({"off", "0", "no", "false"})
 
-#: MemorySideState array fields stored in the ``.npz`` entry.
-_STATE_ARRAYS = ("dlevel", "ilevel", "mispredicted")
+#: Disk kinds of the memory-side parts.
+PART_KINDS = ("cache_parts", "branch_parts")
 
-_KINDS = ("traces", "states")
+_KINDS = ("traces",) + PART_KINDS
 
 
 def cache_root() -> Path | None:
@@ -176,7 +183,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class DiskCache:
-    """Content-addressed trace/state store rooted at one directory."""
+    """Content-addressed store of traces and memory-side parts."""
 
     def __init__(self, root: str | Path | None | object = "auto",
                  fault_plan: FaultPlan | None = None) -> None:
@@ -415,63 +422,67 @@ class DiskCache:
                                       kind="traces").inc()
 
     # ------------------------------------------------------------------
-    # Memory-side states
+    # Memory-side parts
     # ------------------------------------------------------------------
 
-    def load_state(self, key: str) -> MemorySideState | None:
+    def load_state(self, kind: str, key: str,
+                   ) -> CachePart | BranchPart | None:
+        """One memory-side part (``kind`` in :data:`PART_KINDS`) from
+        disk; None on a miss or corruption."""
         if not self.enabled:
             return None
-        loaded = self._load_sidecar("states", key)
+        loaded = self._load_sidecar(kind, key)
         if loaded is None:
             return None
         meta, npz_path = loaded
         try:
             with np.load(npz_path) as data:
-                arrays = {name: data[name] for name in _STATE_ARRAYS}
-            cache_stats = {name: CacheStats(**counts)
-                           for name, counts in meta["cache_stats"].items()}
-            state = MemorySideState(
-                dlevel=arrays["dlevel"],
-                ilevel=arrays["ilevel"],
-                cache_stats=cache_stats,
-                mem_lines=meta["mem_lines"],
-                mispredicted=arrays["mispredicted"],
-                branch_stats=BranchStats(**meta["branch_stats"]))
+                if kind == "cache_parts":
+                    part = CachePart(
+                        dlevel=data["dlevel"], ilevel=data["ilevel"],
+                        stats={name: CacheStats(**counts) for name, counts
+                               in meta["stats"].items()},
+                        mem_lines=meta["mem_lines"])
+                else:
+                    part = BranchPart(data["mispredicted"],
+                                      BranchStats(**meta["stats"]))
         except Exception:
             # Same contract as load_run: parse failure == corruption.
-            self.quarantine("states", key)
+            self.quarantine(kind, key)
             return None
-        self._touch("states", key)
-        TELEMETRY.metrics.counter("cache.decode_hits",
-                                  kind="states").inc()
-        return state
+        self._touch(kind, key)
+        TELEMETRY.metrics.counter("cache.decode_hits", kind=kind).inc()
+        return part
 
-    def store_state(self, key: str, state: MemorySideState,
+    def store_state(self, kind: str, key: str,
+                    part: CachePart | BranchPart,
                     key_params: dict | None = None) -> None:
+        """Commit one memory-side part (see :meth:`load_state`)."""
         if not self.enabled:
             return
-        npz_path, meta_path = self._paths("states", key)
-        meta = {
-            "mem_lines": state.mem_lines,
-            "cache_stats": {name: dataclasses.asdict(stats)
-                            for name, stats in state.cache_stats.items()},
-            "branch_stats": dataclasses.asdict(state.branch_stats),
-        }
+        npz_path, meta_path = self._paths(kind, key)
+        if kind == "cache_parts":
+            arrays = {"dlevel": part.dlevel, "ilevel": part.ilevel}
+            meta = {"mem_lines": part.mem_lines,
+                    "stats": {name: dataclasses.asdict(stats)
+                              for name, stats in part.stats.items()}}
+        else:
+            arrays = {"mispredicted": part.mispredicted}
+            meta = {"stats": dataclasses.asdict(part.stats)}
         if key_params is not None:
             meta["key_params"] = key_params
 
         def writer(tmp: Path) -> None:
             with open(tmp, "wb") as handle:
-                np.savez(handle, dlevel=state.dlevel, ilevel=state.ilevel,
-                         mispredicted=state.mispredicted)
+                np.savez(handle, **arrays)
 
         try:
             npz_path.parent.mkdir(parents=True, exist_ok=True)
             _atomic_write(npz_path, writer)
-            self._finish_store("states", key, npz_path, meta_path, meta)
+            self._finish_store(kind, key, npz_path, meta_path, meta)
         except OSError:
             TELEMETRY.metrics.counter("cache.write_errors",
-                                      kind="states").inc()
+                                      kind=kind).inc()
 
     # ------------------------------------------------------------------
     # Maintenance: tmp sweeping, size-bounded gc, usage
@@ -678,9 +689,10 @@ class DiskCache:
         ``kept_bytes``, ``tmp_removed``).
 
         Size-based LRU covers the artifact kinds (``traces/``,
-        ``states/``); the live-trace spill dir is governed separately
-        by pid-aliveness (:meth:`sweep_spill`, whose ``removed`` count
-        surfaces here as ``spill_removed``). The run registry under
+        ``cache_parts/``, ``branch_parts/``); the live-trace spill dir
+        is governed separately by pid-aliveness (:meth:`sweep_spill`,
+        whose ``removed`` count surfaces here as ``spill_removed``).
+        The run registry under
         ``telemetry/`` is never evicted by size — its retention is
         record-count based and explicit
         (:meth:`repro.telemetry.registry.RunRegistry.prune`, invoked by

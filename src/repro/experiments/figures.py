@@ -59,7 +59,7 @@ from ..workloads import (
     SWEEP_BENCHMARKS,
 )
 from .parallel import fan_out
-from .runner import ExperimentRunner, memory_side_key
+from .runner import ExperimentRunner, part_count
 
 MB = 1024 * 1024
 
@@ -137,11 +137,12 @@ def _prefetch_sweeps(runner: ExperimentRunner, cells: list[dict],
     identical to a fully serial run.
     """
     from .parallel import active_executor, resolve_jobs
-    # One trace and one memory-side state per (sweep cell, ratio point):
-    # size the runner's caches to the figure's own grid up front.
+    # One trace, one cache part and one branch part per (sweep cell,
+    # ratio point): size the runner's caches to the figure's own grid
+    # up front.
     points = sum(len(cell.get("ratios", NURSERY_RATIOS))
                  for cell in cells)
-    runner.ensure_cache_capacity(traces=points, states=points)
+    runner.ensure_cache_capacity(traces=points, states=2 * points)
     if resolve_jobs(jobs) <= 1 and active_executor() is None:
         return
     memo = sweep_memo(runner)
@@ -157,19 +158,19 @@ def _breakdown_cell(runner: ExperimentRunner, workload: str,
     """(C-call share) of one workload — Figures 5 and 6."""
     handle = runner.run(workload, runtime=runtime, jit=True,
                         nursery=1 * MB)
-    return breakdown_for_run(handle).c_function_call_share
+    return breakdown_for_run(handle, runner=runner).c_function_call_share
 
 
 def _fig4_cell(runner: ExperimentRunner, workload: str):
     handle = runner.run(workload, runtime="cpython")
-    of_ccall, of_total = indirect_call_fraction(handle)
-    return breakdown_for_run(handle), of_ccall, of_total
+    of_ccall, of_total = indirect_call_fraction(handle, runner=runner)
+    return breakdown_for_run(handle, runner=runner), of_ccall, of_total
 
 
 def _fig7_phase_cell(runner: ExperimentRunner, workload: str):
     handle = runner.run(workload, runtime="pypy", jit=True,
                         nursery=1 * MB)
-    return phase_cpis(handle)
+    return phase_cpis(handle, runner=runner)
 
 
 def _fig8_cell(runner: ExperimentRunner, workload: str, axis: str,
@@ -186,7 +187,7 @@ def _fig13_cell(runner: ExperimentRunner, workload: str, jit: bool,
                 nursery: int, config):
     handle = runner.run(workload, runtime="pypy", jit=jit,
                         nursery=nursery)
-    return breakdown_for_run(handle, config).gc_share
+    return breakdown_for_run(handle, config, runner=runner).gc_share
 
 
 # ----------------------------------------------------------------------
@@ -395,10 +396,10 @@ def fig8(runner: ExperimentRunner | None = None, quick: bool = True,
     cells = [(workload, axis, values, base)
              for axis, values in axes.items()
              for workload in workloads]
-    mem_keys = {memory_side_key(axis_config(base, axis, value))
-                for axis, values in axes.items() for value in values}
-    runner.ensure_cache_capacity(
-        traces=len(workloads), states=len(workloads) * len(mem_keys))
+    parts = part_count(axis_config(base, axis, value)
+                       for axis, values in axes.items() for value in values)
+    runner.ensure_cache_capacity(traces=len(workloads),
+                                 states=len(workloads) * parts)
     results = fan_out(runner, _fig8_cell, cells, jobs)
     cpis_by_cell = {(axis, workload): cpis
                     for (workload, axis, _, _), cpis

@@ -6,9 +6,16 @@ parameters (nursery size, JIT on/off) by re-running the guest. The
 runner caches a bounded number of recent traces so figure harnesses can
 loop workload-outer / config-inner without re-interpreting.
 
+The memory side is cached as two kinds of *part*, each keyed by the
+trace and its own geometry (:mod:`repro.uarch.system`): a cache part
+per four-level cache geometry and a branch part per predictor. A sweep
+over one trace therefore simulates each distinct cache geometry and
+each distinct predictor once, and the breakdown figures read their
+service levels from the same cache parts the sweeps use.
+
 Both in-memory caches are backed by a write-through persistent
 :class:`~repro.experiments.diskcache.DiskCache`: every fresh guest run
-and memory-side state is also stored on disk, and a memory miss
+and memory-side part is also stored on disk, and a memory miss
 consults disk before re-computing. Repeated benchmark invocations —
 and parallel figure workers, which share the cache directory —
 therefore skip double interpretation entirely. ``REPRO_CACHE=off``
@@ -16,8 +23,8 @@ restores the purely in-memory behavior.
 
 Disk entries are untrusted input: the cache verifies checksums and
 quarantines corrupt entries itself, and the runner additionally
-shape-checks loaded memory-side states against the trace they claim to
-describe — every failure is a recomputable miss, never an exception.
+shape-checks loaded parts against the trace they claim to describe —
+every failure is a recomputable miss, never an exception.
 """
 
 from __future__ import annotations
@@ -40,7 +47,15 @@ from ..host.machine import HostMachine
 from ..host.trace import InstructionTrace
 from ..telemetry import TELEMETRY
 from ..telemetry.export import write_manifest
-from ..uarch.system import MemorySideState, SimulatedSystem
+from ..uarch.system import (
+    BranchPart,
+    CachePart,
+    MemorySideState,
+    SimulatedSystem,
+    branch_part_key,
+    cache_part_key,
+    simulate_parts,
+)
 from ..vm.cpython import CPythonVM
 from ..vm.pypy import PyPyVM
 from ..vm.v8 import V8VM
@@ -50,22 +65,20 @@ from .diskcache import DiskCache, content_key
 
 _MB = 1024 * 1024
 
+#: Part kind -> (disk kind, key function, array whose length must match
+#: the trace).
+_PARTS = {
+    "cache_part": ("cache_parts", cache_part_key, "dlevel"),
+    "branch_part": ("branch_parts", branch_part_key, "mispredicted"),
+}
 
-def memory_side_key(config: MachineConfig) -> tuple:
-    """Everything a :class:`MemorySideState` depends on.
 
-    The cache simulation reads each level's geometry (size, ways, line
-    size) and the branch simulation reads the predictor table shapes;
-    latencies, bandwidth, and core parameters only enter the *core*
-    models, so they are deliberately excluded — a latency sweep over one
-    trace reuses a single memory-side state.
-    """
-    branch = config.branch
-    return tuple(
-        (level.size, level.ways, level.line_size)
-        for level in (config.l1i, config.l1d, config.l2, config.l3)
-    ) + ((branch.l1_entries, branch.history_bits, branch.l2_entries,
-          branch.btb_entries, branch.scale),)
+def part_count(configs) -> int:
+    """Memory-side parts one trace needs under ``configs``: one per
+    distinct cache geometry plus one per distinct predictor."""
+    configs = list(configs)
+    return sum(len({key(config) for config in configs})
+               for _, key, _ in _PARTS.values())
 
 
 @dataclass
@@ -90,9 +103,9 @@ class RunHandle:
     measure_start: int = 0
     #: Warmup executions that preceded the measured run (disk-cache key).
     warmup_runs: int = 0
-    #: Monotonic per-handle token; the runner's state cache keys on it
+    #: Monotonic per-handle token; the runner's part cache keys on it
     #: (``id(trace)`` is unsafe: ids are reused after eviction frees a
-    #: trace, which silently aliased MemorySideStates across runs).
+    #: trace, which silently aliased memory sides across runs).
     token: int = 0
     #: Host wall-clock seconds the guest run took (warmup included).
     wall_seconds: float = 0.0
@@ -118,17 +131,19 @@ def _runtime_config(runtime: str, jit: bool, nursery: int) -> RuntimeConfig:
 class ExperimentRunner:
     """Runs workloads and caches (trace, memory-side) results."""
 
-    #: Default in-memory cache sizes. The nursery figure family is the
-    #: sizing constraint: Figure 12 touches 4 configs x 4 workloads x 5
-    #: ratios = up to 20 live traces and 80 states per quick run (the
-    #: seed's 4/12 thrashed both caches, see
-    #: benchmarks/results/telemetry_smoke.txt).
+    #: Default in-memory cache sizes: traces, and memory-side parts
+    #: (the "state cache"; a memory side is one cache plus one branch
+    #: part). The nursery figure family is the sizing constraint:
+    #: Figure 12 touches 4 configs x 4 workloads x 5 ratios = up to 20
+    #: live traces and 120 parts per quick run; figures grow the caches
+    #: to their grid through :meth:`ExperimentRunner.
+    #: ensure_cache_capacity`.
     TRACE_CACHE_SIZE = 16
-    STATE_CACHE_SIZE = 48
+    STATE_CACHE_SIZE = 96
     #: Hard ceilings for :meth:`ensure_cache_capacity` — a huge grid
     #: degrades to LRU thrashing rather than unbounded memory use.
     TRACE_CACHE_CAP = 64
-    STATE_CACHE_CAP = 256
+    STATE_CACHE_CAP = 384
 
     def __init__(self, scale: int = 1, max_instructions: int = 120_000_000,
                  trace_cache_size: int = TRACE_CACHE_SIZE,
@@ -144,7 +159,9 @@ class ExperimentRunner:
         self.disk_cache = disk_cache if disk_cache is not None \
             else DiskCache()
         self._traces: OrderedDict[tuple, RunHandle] = OrderedDict()
-        self._states: OrderedDict[tuple, MemorySideState] = OrderedDict()
+        #: (part kind, handle token, geometry key) -> part, LRU order.
+        self._parts: OrderedDict[tuple, CachePart | BranchPart] = \
+            OrderedDict()
         self._trace_cache_size = trace_cache_size
         self._state_cache_size = state_cache_size
         self._programs: dict[tuple, Program] = {}
@@ -159,11 +176,11 @@ class ExperimentRunner:
         #: "spill hit": the disk cache acted as an overflow tier for
         #: this runner, not just a cross-invocation store.
         self._spilled_keys: set[str] = set()
-        #: In-memory state key -> disk key. A MemorySideState carries
-        #: no run parameters, so its eviction can only be attributed to
-        #: a disk entry through this map (traces recompute theirs from
-        #: the evicted handle).
-        self._state_disk_keys: dict[tuple, str] = {}
+        #: In-memory part key -> disk key. A part carries no run
+        #: parameters, so its eviction can only be attributed to a disk
+        #: entry through this map (traces recompute theirs from the
+        #: evicted handle).
+        self._part_disk_keys: dict[tuple, str] = {}
         #: When set, a manifest is written here after every fresh run.
         self.metrics_out = metrics_out
         self.last_handle: RunHandle | None = None
@@ -316,74 +333,133 @@ class ExperimentRunner:
     # Microarchitecture simulation
     # ------------------------------------------------------------------
 
-    #: The full memory-side geometry. An earlier revision keyed on a
-    #: hand-picked subset (no L1/L2 ways, no history/L2/BTB shapes), so
-    #: states silently aliased across configs differing only in those.
-    _config_key = staticmethod(memory_side_key)
-
-    def _state_key_params(self, handle: RunHandle,
-                          config: MachineConfig) -> dict:
+    def _part_key_params(self, handle: RunHandle, kind: str,
+                         geometry: tuple) -> dict:
         params = self._trace_key_params(
             handle.workload, handle.runtime, handle.jit, handle.nursery,
             handle.warmup_runs)
-        params["kind"] = "state"
-        params["machine"] = memory_side_key(config)
+        params["kind"] = kind
+        params["geometry"] = geometry
         return params
 
-    def memory_side(self, handle: RunHandle, config: MachineConfig,
-                    ) -> MemorySideState:
-        """Cache + branch simulation for one (run, machine) pair."""
-        key = (handle.token, memory_side_key(config))
-        state = self._states.get(key)
+    def _cached_part(self, handle: RunHandle, kind: str, geometry: tuple,
+                     ) -> CachePart | BranchPart | None:
+        """One part from memory, else from disk; None when neither has it."""
+        key = (kind, handle.token, geometry)
         metrics = TELEMETRY.metrics
-        if state is not None:
-            self._states.move_to_end(key)
+        part = self._parts.get(key)
+        if part is not None:
+            self._parts.move_to_end(key)
             metrics.counter("runner.state_cache.hit").inc()
-            return state
-        state_params = self._state_key_params(handle, config)
-        disk_key = content_key(state_params)
-        state = self.disk_cache.load_state(disk_key)
-        if state is not None and len(state.dlevel) != len(handle.trace):
-            # Checksums catch bit rot, not a state that parses cleanly
+            return part
+        disk_kind, _, rows = _PARTS[kind]
+        disk_key = content_key(self._part_key_params(handle, kind,
+                                                     geometry))
+        part = self.disk_cache.load_state(disk_kind, disk_key)
+        if part is not None \
+                and len(getattr(part, rows)) != len(handle.trace):
+            # Checksums catch bit rot, not a part that parses cleanly
             # but belongs to a different-length trace (e.g. a cache dir
             # hand-copied across incompatible checkouts). Shape-check
             # against the trace we are about to simulate and quarantine
             # mismatches rather than poisoning the core models.
-            metrics.counter("cache.shape_mismatch", kind="states").inc()
-            self.disk_cache.quarantine("states", disk_key)
-            state = None
-        if state is not None:
-            metrics.counter("runner.state_cache.hit").inc()
-            metrics.counter("runner.disk_cache.hit", kind="state").inc()
-            if disk_key in self._spilled_keys:
-                metrics.counter("cache.spill_hits", kind="state").inc()
-            self._state_disk_keys[key] = disk_key
-            self._store_state(key, state)
-            return state
-        metrics.counter("runner.state_cache.miss").inc()
-        if self.disk_cache.enabled:
-            metrics.counter("runner.disk_cache.miss", kind="state").inc()
+            metrics.counter("cache.shape_mismatch", kind=disk_kind).inc()
+            self.disk_cache.quarantine(disk_kind, disk_key)
+            part = None
+        if part is None:
+            metrics.counter("runner.state_cache.miss").inc()
+            if self.disk_cache.enabled:
+                metrics.counter("runner.disk_cache.miss", kind=kind).inc()
+            return None
+        metrics.counter("runner.state_cache.hit").inc()
+        metrics.counter("runner.disk_cache.hit", kind=kind).inc()
+        if disk_key in self._spilled_keys:
+            metrics.counter("cache.spill_hits", kind=kind).inc()
+        self._store_part(key, disk_key, part)
+        return part
+
+    def _store_part(self, key: tuple, disk_key: str, part) -> None:
+        self._parts[key] = part
+        self._part_disk_keys[key] = disk_key
+        while len(self._parts) > self._state_cache_size:
+            evicted_key, _ = self._parts.popitem(last=False)
+            evicted_disk_key = self._part_disk_keys.pop(evicted_key)
+            if self.disk_cache.enabled:
+                self._spilled_keys.add(evicted_disk_key)
+                TELEMETRY.metrics.counter("cache.spilled",
+                                          kind=evicted_key[0]).inc()
+
+    def _parts_for(self, handle: RunHandle, configs,
+                   kinds=tuple(_PARTS)) -> dict[tuple, object]:
+        """``(kind, geometry) -> part`` for every config, computing all
+        the missing parts of this trace together."""
+        found: dict[tuple, object] = {}
+        missing: dict[str, dict[tuple, MachineConfig]] = \
+            {kind: {} for kind in _PARTS}
+        for config in configs:
+            for kind in kinds:
+                geometry = _PARTS[kind][1](config)
+                if (kind, geometry) in found \
+                        or geometry in missing[kind]:
+                    continue
+                part = self._cached_part(handle, kind, geometry)
+                if part is None:
+                    missing[kind][geometry] = config
+                else:
+                    found[(kind, geometry)] = part
+        if not any(missing.values()):
+            return found
         with TELEMETRY.tracer.span("sim.memory_side",
                                    workload=handle.workload,
                                    runtime=handle.runtime):
-            system = SimulatedSystem(config)
-            state = system.memory_side(handle.trace)
-        self._state_disk_keys[key] = disk_key
-        self._store_state(key, state)
-        self.disk_cache.store_state(
-            disk_key, state,
-            key_params=self._state_key_params(handle, config))
-        return state
+            computed = simulate_parts(
+                handle.trace, list(missing["cache_part"].values()),
+                list(missing["branch_part"].values()))
+        for kind, parts in zip(_PARTS, computed):
+            disk_kind = _PARTS[kind][0]
+            for geometry, part in zip(missing[kind], parts):
+                found[(kind, geometry)] = part
+                params = self._part_key_params(handle, kind, geometry)
+                disk_key = content_key(params)
+                self._store_part((kind, handle.token, geometry), disk_key,
+                                 part)
+                self.disk_cache.store_state(disk_kind, disk_key, part,
+                                            key_params=params)
+        return found
 
-    def _store_state(self, key: tuple, state: MemorySideState) -> None:
-        self._states[key] = state
-        while len(self._states) > self._state_cache_size:
-            evicted_key, _ = self._states.popitem(last=False)
-            disk_key = self._state_disk_keys.pop(evicted_key, None)
-            if disk_key is not None and self.disk_cache.enabled:
-                self._spilled_keys.add(disk_key)
-                TELEMETRY.metrics.counter("cache.spilled",
-                                          kind="state").inc()
+    def cache_part(self, handle: RunHandle, config: MachineConfig,
+                   ) -> CachePart:
+        """Service levels and cache counters of one run on ``config``."""
+        return self._parts_for(handle, [config], ("cache_part",))[
+            ("cache_part", cache_part_key(config))]
+
+    def memory_sides(self, handle: RunHandle, configs,
+                     ) -> list[MemorySideState]:
+        """Cache + branch simulation for one run under many configs.
+
+        Each distinct cache geometry and predictor is simulated once
+        (:func:`~repro.uarch.system.simulate_parts`) or fetched from the
+        part caches. Configs that agree on both parts get the same
+        :class:`MemorySideState` object, so the batched core model walks
+        the trace once for all of them.
+        """
+        parts = self._parts_for(handle, configs)
+        states: dict[tuple, MemorySideState] = {}
+        out = []
+        for config in configs:
+            key = (cache_part_key(config), branch_part_key(config))
+            state = states.get(key)
+            if state is None:
+                state = states[key] = MemorySideState(
+                    parts[("cache_part", key[0])],
+                    parts[("branch_part", key[1])])
+            out.append(state)
+        return out
+
+    def memory_side(self, handle: RunHandle, config: MachineConfig,
+                    ) -> MemorySideState:
+        """Cache + branch simulation for one (run, machine) pair."""
+        return self.memory_sides(handle, [config])[0]
 
     def simulate(self, handle: RunHandle, config: MachineConfig,
                  core: str = "ooo"):
@@ -398,27 +474,31 @@ class ExperimentRunner:
                               core: str = "ooo") -> list:
         """Timing results for one run under many machine configurations.
 
-        Memory-side states are computed (or fetched) once per distinct
-        memory-side geometry, then the whole batch goes through
-        :meth:`SimulatedSystem.run_many_configs`, which walks the trace
-        once per distinct state instead of once per config. Results are
-        bit-identical to per-config :meth:`simulate` calls, in input
-        order.
+        Identical configs are simulated once; the memory-side parts of
+        the rest come from :meth:`memory_sides`, then the whole batch
+        goes through :meth:`SimulatedSystem.run_many_configs`, which
+        walks the trace once per distinct memory side instead of once
+        per config. Results are bit-identical to per-config
+        :meth:`simulate` calls, in input order.
         """
-        states = [self.memory_side(handle, config) for config in configs]
+        distinct = list(dict.fromkeys(configs))
+        states = self.memory_sides(handle, distinct)
         with TELEMETRY.tracer.span("sim.core_batch",
                                    workload=handle.workload,
                                    runtime=handle.runtime, core=core,
-                                   configs=len(configs)):
-            return SimulatedSystem.run_many_configs(
-                handle.trace, configs, states, core=core)
+                                   configs=len(distinct)):
+            results = SimulatedSystem.run_many_configs(
+                handle.trace, distinct, states, core=core)
+        by_config = dict(zip(distinct, results))
+        return [by_config[config] for config in configs]
 
     def ensure_cache_capacity(self, traces: int | None = None,
                               states: int | None = None) -> None:
         """Grow the in-memory caches to fit a figure's grid shape.
 
         Figure harnesses call this with the number of live traces and
-        memory-side states their grid touches, so capacity follows the
+        memory-side parts (cache parts plus branch parts, see
+        :func:`part_count`) their grid touches, so capacity follows the
         requested grid instead of the fixed defaults. Growth only (a
         running figure never shrinks a cache another figure grew), and
         capped so a huge grid degrades to LRU thrash instead of

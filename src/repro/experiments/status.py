@@ -75,16 +75,16 @@ def _campaign_lines(checkpoint: str | Path | None) -> list[str]:
 
 
 def _cache_lines() -> list[str]:
-    from .diskcache import DiskCache
+    from .diskcache import PART_KINDS, DiskCache
     usage = DiskCache().usage()
     if usage["root"] is None:
         return ["disk cache : off (REPRO_CACHE=off)"]
     lines = [f"disk cache : {usage['entries']} entries, "
              f"{_fmt_bytes(usage['bytes'])} at {usage['root']}"]
-    for kind in ("traces", "states"):
+    for kind in ("traces",) + PART_KINDS:
         block = usage.get(kind)
         if block:
-            lines.append(f"  {kind:9s}: {block['entries']} entries, "
+            lines.append(f"  {kind:12s}: {block['entries']} entries, "
                          f"{_fmt_bytes(block['bytes'])}")
     traces = usage.get("traces") or {}
     if traces.get("rows"):

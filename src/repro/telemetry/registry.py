@@ -12,7 +12,7 @@ under coarse timestamp granularity; see
 The registry lives *inside* the disk-cache root by default
 (``.repro-cache/telemetry/``) so one directory holds everything a
 campaign produced — but ``repro cache gc`` never evicts it: the cache's
-collector only walks its ``traces/``/``states/`` kinds, and registry
+collector only walks its trace and memory-side part kinds, and registry
 retention is its own explicit knob (:meth:`RunRegistry.prune`, wired
 into ``repro cache gc``).
 

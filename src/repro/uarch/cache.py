@@ -20,27 +20,38 @@ Two interchangeable engines back :func:`simulate_cache_hierarchy`:
 
 * the **scalar** engine walks one access at a time through MRU-ordered
   tag lists (the original implementation, kept as the reference), and
-* the **vectorized** engine batches accesses with NumPy: each level
-  keeps per-set tag/recency-stamp/dirty matrices, accesses to
+* the **vectorized** engine feeds each level a whole access stream at
+  once. Each level keeps flat tag/recency-stamp/dirty arrays and walks
+  the stream with the compiled exact-LRU loop of
+  :mod:`repro.uarch._lru_kernel`; without a compiler (or under
+  ``REPRO_KERNELS=off``) it batches with NumPy instead: accesses to
   *different* sets are processed together in "waves" (an access lands
   in wave ``k`` if it is the ``k``-th access to its set), and runs of
   consecutive same-line accesses within a set collapse to one state
-  update plus guaranteed hits. Both produce bit-identical service
+  update plus guaranteed hits. All produce bit-identical service
   levels and :class:`CacheStats`; ``tests/test_vectorized_equivalence.
   py`` enforces that on randomized traces.
 
 The engine is picked by the ``backend`` argument or the
 ``REPRO_SIM_BACKEND`` environment variable (``auto``/``vector``/
 ``scalar``). ``auto`` — the default — uses the vectorized engine but
-lets each level fall back to the scalar walk when the trace offers too
-little set-level parallelism to pay for the batched bookkeeping (tiny
-scaled caches, or streams dominated by a few hot sets); even then the
-run-collapse preprocessing applies, so the scalar walk only touches
+lets each NumPy level fall back to the scalar walk when the trace offers
+too little set-level parallelism to pay for the batched bookkeeping
+(tiny scaled caches, or streams dominated by a few hot sets); even then
+the run-collapse preprocessing applies, so the scalar walk only touches
 run heads.
+
+The hierarchy is non-inclusive, so the LLC's input streams (the L2
+misses of the data path, then of the fetch path) do not depend on the
+LLC's own geometry. :func:`simulate_cache_hierarchy` therefore accepts
+several LLCs at once: the L1/L2 levels are walked once and their miss
+streams replayed into each LLC, in the order a single hierarchy would
+see them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
 
@@ -49,6 +60,7 @@ import numpy as np
 from ..config import CacheConfig, MachineConfig
 from ..errors import ReproError
 from ..host.isa import InstrKind
+from . import _lru_kernel
 
 SERVICE_NONE = -1
 SERVICE_L1 = 0
@@ -264,18 +276,20 @@ class _Runs:
 
 
 class _VecLevel:
-    """One cache level processed in set-parallel waves.
+    """One cache level fed whole access streams.
 
     State lives in flat ``num_sets * ways`` arrays: the resident tag,
     a recency stamp (-1 = empty way; larger = more recently used), and
     a dirty bit per way. Because LRU order only compares stamps within
-    one set, a single monotonically increasing wave clock serves every
-    set. Exactly equivalent to :class:`_Level` fed the same stream.
+    one set, a single monotonically increasing clock serves every set.
+    The compiled kernel walks a stream in order over these arrays; the
+    NumPy fallback processes it in set-parallel waves. Exactly
+    equivalent to :class:`_Level` fed the same stream.
     """
 
     __slots__ = ("config", "stats", "num_sets", "set_mask", "ways",
                  "adaptive", "_tags", "_stamps", "_dirty", "_clock",
-                 "_mode", "_slists", "_sdirty")
+                 "_mode", "_slists", "_sdirty", "_kernel")
 
     def __init__(self, config: CacheConfig, adaptive: bool) -> None:
         self.config = config
@@ -293,6 +307,17 @@ class _VecLevel:
         self._mode: str | None = None
         self._slists: list[list[int]] | None = None
         self._sdirty: set[tuple[int, int]] | None = None
+        #: Fixed for the level's lifetime, so one level never mixes
+        #: engines even if ``REPRO_KERNELS`` changes mid-run.
+        self._kernel = _lru_kernel.get_kernel()
+
+    def _state_arrays(self):
+        if self._tags is None:
+            size = self.num_sets * self.ways
+            self._tags = np.full(size, -1, dtype=np.int64)
+            self._stamps = np.full(size, -1, dtype=np.int64)
+            self._dirty = np.zeros(size, dtype=bool)
+        return self._tags, self._stamps, self._dirty
 
     # -- preprocessing --------------------------------------------------
 
@@ -392,12 +417,7 @@ class _VecLevel:
 
     def _run_waves(self, w_set, w_tag, w_write, wave_sizes) -> np.ndarray:
         ways = self.ways
-        if self._tags is None:
-            size = self.num_sets * ways
-            self._tags = np.full(size, -1, dtype=np.int64)
-            self._stamps = np.full(size, -1, dtype=np.int64)
-            self._dirty = np.zeros(size, dtype=bool)
-        tagf, stampf, dirtyf = self._tags, self._stamps, self._dirty
+        tagf, stampf, dirtyf = self._state_arrays()
         arange_ways = np.arange(ways)
         hits_out = np.empty(len(w_set), dtype=bool)
         misses = evictions = writebacks = 0
@@ -445,8 +465,18 @@ class _VecLevel:
         n = len(lines)
         if n == 0:
             return np.zeros(0, dtype=bool)
+        stats = self.stats
+        stats.accesses += n
+        if self._kernel is not None:
+            hits, (self._clock, misses, evictions, writebacks) = \
+                _lru_kernel.walk(self._kernel, lines, writes,
+                                 self.set_mask, self.ways,
+                                 *self._state_arrays(), self._clock)
+            stats.misses += misses
+            stats.evictions += evictions
+            stats.writebacks += writebacks
+            return hits
         runs = self._prepare(lines, writes)
-        self.stats.accesses += n
         if self._mode is None:
             low = (self.num_sets < _MIN_PARALLELISM
                    or runs.parallelism < _MIN_PARALLELISM)
@@ -470,77 +500,96 @@ class _VecLevel:
 
 def simulate_cache_hierarchy_vectorized(
         trace_arrays: dict[str, np.ndarray], config: MachineConfig,
-        adaptive: bool = True) -> HierarchySimResult:
+        adaptive: bool = True, l3s=None) -> list[HierarchySimResult]:
     """Batched engine; bit-identical outputs to the scalar reference.
 
-    The phase order matches the scalar engine exactly: the whole data
-    path is simulated first, then the instruction-fetch path, so the
-    shared L2/L3 levels observe the same access sequence.
+    Returns one result per LLC in ``l3s`` (default: ``config.l3``).
+    Each level sees the scalar engine's access order: L2 gets the data
+    path's L1D misses, then the fetch path's L1I misses, and every LLC
+    gets the L2 misses in that same order.
     """
+    if l3s is None:
+        l3s = (config.l3,)
     n = len(trace_arrays["pc"])
     dlevel = np.full(n, SERVICE_NONE, dtype=np.int8)
     ilevel = np.zeros(n, dtype=np.int8)
     l1i = _VecLevel(config.l1i, adaptive)
     l1d = _VecLevel(config.l1d, adaptive)
     l2 = _VecLevel(config.l2, adaptive)
-    l3 = _VecLevel(config.l3, adaptive)
-    stats = {"L1I": l1i.stats, "L1D": l1d.stats,
-             "L2": l2.stats, "L3": l3.stats}
-    if n == 0:
-        return HierarchySimResult(dlevel, ilevel, stats, 0)
-    line_bits = config.l1d.line_size.bit_length() - 1
-    kinds = trace_arrays["kind"]
-    addrs = trace_arrays["addr"]
+    levels = (dlevel, ilevel)
+    streams = []  # (L2-miss lines, writes, instruction index, slot)
+    if n:
+        line_bits = config.l1d.line_size.bit_length() - 1
+        kinds = trace_arrays["kind"]
+        addrs = trace_arrays["addr"]
 
-    def walk(first: _VecLevel, lines: np.ndarray, writes: np.ndarray,
-             out: np.ndarray, out_idx: np.ndarray) -> None:
-        """Send a stream through ``first`` -> L2 -> L3, filling ``out``."""
-        levels = ((first, SERVICE_L1), (l2, SERVICE_L2), (l3, SERVICE_L3))
-        idx = out_idx
-        for level, service in levels:
-            hits = level.access_many(lines, writes)
-            out[idx[hits]] = service
-            miss = ~hits
-            idx = idx[miss]
-            lines = lines[miss]
-            writes = writes[miss]
-        out[idx] = SERVICE_MEM
+        def upper(first: _VecLevel, lines: np.ndarray, writes: np.ndarray,
+                  slot: int, idx: np.ndarray) -> None:
+            """Send a stream through ``first`` -> L2, filling
+            ``levels[slot]``; queue what L2 misses for the LLCs."""
+            for level, service in ((first, SERVICE_L1), (l2, SERVICE_L2)):
+                hits = level.access_many(lines, writes)
+                levels[slot][idx[hits]] = service
+                miss = ~hits
+                idx = idx[miss]
+                lines = lines[miss]
+                writes = writes[miss]
+            streams.append((lines, writes, idx, slot))
 
-    # --- data path -----------------------------------------------------
-    mem_mask = (kinds == int(InstrKind.LOAD)) | \
-               (kinds == int(InstrKind.STORE))
-    mem_idx = np.nonzero(mem_mask)[0]
-    if len(mem_idx):
-        mem_lines = addrs[mem_idx] >> line_bits
-        mem_writes = kinds[mem_idx] == int(InstrKind.STORE)
-        walk(l1d, mem_lines, mem_writes, dlevel, mem_idx)
+        # --- data path -------------------------------------------------
+        mem_mask = (kinds == int(InstrKind.LOAD)) | \
+                   (kinds == int(InstrKind.STORE))
+        mem_idx = np.nonzero(mem_mask)[0]
+        if len(mem_idx):
+            upper(l1d, addrs[mem_idx] >> line_bits,
+                  kinds[mem_idx] == int(InstrKind.STORE), 0, mem_idx)
 
-    # --- instruction fetch path ----------------------------------------
-    pc_lines = trace_arrays["pc"] >> line_bits
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    np.not_equal(pc_lines[1:], pc_lines[:-1], out=change[1:])
-    fetch_idx = np.nonzero(change)[0]
-    walk(l1i, pc_lines[fetch_idx], np.zeros(len(fetch_idx), dtype=bool),
-         ilevel, fetch_idx)
+        # --- instruction fetch path ------------------------------------
+        pc_lines = trace_arrays["pc"] >> line_bits
+        change = np.empty(n, dtype=bool)
+        change[0] = True
+        np.not_equal(pc_lines[1:], pc_lines[:-1], out=change[1:])
+        fetch_idx = np.nonzero(change)[0]
+        upper(l1i, pc_lines[fetch_idx],
+              np.zeros(len(fetch_idx), dtype=bool), 1, fetch_idx)
 
-    mem_lines_moved = stats["L3"].misses + stats["L3"].writebacks
-    return HierarchySimResult(dlevel, ilevel, stats, mem_lines_moved)
+    results = []
+    for l3_config in l3s:
+        l3 = _VecLevel(l3_config, adaptive)
+        out = [level.copy() for level in levels]
+        for lines, writes, idx, slot in streams:
+            hits = l3.access_many(lines, writes)
+            out[slot][idx] = np.where(hits, SERVICE_L3, SERVICE_MEM)
+        stats = {name: dataclasses.replace(level.stats)
+                 for name, level in (("L1I", l1i), ("L1D", l1d),
+                                     ("L2", l2))}
+        stats["L3"] = l3.stats
+        results.append(HierarchySimResult(
+            out[0], out[1], stats,
+            l3.stats.misses + l3.stats.writebacks))
+    return results
 
 
 def simulate_cache_hierarchy(trace_arrays: dict[str, np.ndarray],
                              config: MachineConfig,
-                             backend: str | None = None,
-                             ) -> HierarchySimResult:
+                             backend: str | None = None, l3s=None):
     """Run the whole trace through a fresh cache hierarchy.
 
     ``backend`` picks the engine (``auto``/``vector``/``scalar``;
     default: the ``REPRO_SIM_BACKEND`` environment variable, else
     ``auto``). All engines return bit-identical results; they differ
     only in speed.
+
+    With ``l3s`` (a sequence of LLC :class:`CacheConfig`), returns a
+    list with one result per LLC, each identical to a run of ``config``
+    with that LLC; the L1/L2 levels are walked only once for all of them.
     """
     backend = _resolve_backend(backend)
     if backend == "scalar":
-        return simulate_cache_hierarchy_scalar(trace_arrays, config)
-    return simulate_cache_hierarchy_vectorized(
-        trace_arrays, config, adaptive=backend == "auto")
+        results = [simulate_cache_hierarchy_scalar(
+            trace_arrays, dataclasses.replace(config, l3=l3))
+            for l3 in (l3s if l3s is not None else (config.l3,))]
+    else:
+        results = simulate_cache_hierarchy_vectorized(
+            trace_arrays, config, adaptive=backend == "auto", l3s=l3s)
+    return results if l3s is not None else results[0]

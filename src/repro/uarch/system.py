@@ -1,11 +1,14 @@
 """Whole-system simulation: trace in, cycles and statistics out.
 
 :class:`SimulatedSystem` wires the cache hierarchy, branch predictor, DRAM
-model, and a core model together. The memory-side state (cache service
-levels, branch mispredict flags) is computed once per (trace, machine
-config) and can be reused across core-model parameters — the experiment
-sweeps exploit this so that, say, an issue-width sweep does not re-run the
-cache simulation.
+model, and a core model together. The memory side is two independent
+parts, each a function of the trace and of its own slice of the machine
+config only: the *cache part* (service levels and per-level counters,
+keyed by :func:`cache_part_key`) and the *branch part* (mispredict flags
+and counters, keyed by :func:`branch_part_key`). Latencies, bandwidth
+and core widths only enter the core models, so the experiment sweeps
+reuse parts across those axes, across the LLC axis for the branch part,
+and across the predictor axis for the cache part.
 """
 
 from __future__ import annotations
@@ -19,25 +22,105 @@ from ..config import MachineConfig, skylake_config
 from ..host.trace import InstructionTrace
 from ..telemetry import TELEMETRY
 from .branch import BranchStats, simulate_branches
-from .cache import CacheStats, simulate_cache_hierarchy
+from .cache import CacheStats, HierarchySimResult, simulate_cache_hierarchy
 from .ooo_core import ooo_cycles, ooo_cycles_many
 from .simple_core import attribute_cycles, simple_core_cycles
+
+#: The cache part of a memory side: per-instruction service levels,
+#: per-level counters and memory line traffic.
+CachePart = HierarchySimResult
+
+
+@dataclass
+class BranchPart:
+    """Branch-predictor outputs for one (trace, predictor) pair."""
+
+    mispredicted: np.ndarray
+    stats: BranchStats
+
+
+def cache_part_key(config: MachineConfig) -> tuple:
+    """Everything a cache part depends on: each level's geometry."""
+    return tuple((level.size, level.ways, level.line_size)
+                 for level in (config.l1i, config.l1d, config.l2, config.l3))
+
+
+def branch_part_key(config: MachineConfig) -> tuple:
+    """Everything a branch part depends on: the predictor table shapes."""
+    branch = config.branch
+    return (branch.l1_entries, branch.history_bits, branch.l2_entries,
+            branch.btb_entries, branch.scale)
+
+
+def simulate_parts(trace: InstructionTrace, cache_configs=(),
+                   branch_configs=(), backend: str | None = None,
+                   ) -> tuple[list[CachePart], list[BranchPart]]:
+    """Cache parts for ``cache_configs`` and branch parts for
+    ``branch_configs``, in input order.
+
+    Configs whose L1/L2 geometry agrees share one walk of those levels
+    (one :func:`simulate_cache_hierarchy` call that replays the L2 miss
+    streams into each of their LLCs); each predictor runs once per
+    config. Every part is bit-identical to a per-config simulation.
+    """
+    start = time.perf_counter() if TELEMETRY.enabled else 0.0
+    arrays = trace.arrays()
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(cache_configs):
+        groups.setdefault(cache_part_key(config)[:3], []).append(i)
+    cache_parts: list[CachePart | None] = [None] * len(cache_configs)
+    for positions in groups.values():
+        results = simulate_cache_hierarchy(
+            arrays, cache_configs[positions[0]], backend=backend,
+            l3s=[cache_configs[i].l3 for i in positions])
+        for i, result in zip(positions, results):
+            cache_parts[i] = result
+    branch_parts = [BranchPart(*simulate_branches(arrays, config.branch,
+                                                  backend=backend))
+                    for config in branch_configs]
+    if TELEMETRY.enabled and (cache_parts or branch_parts):
+        # One memory side's worth of instructions per config simulated.
+        SimulatedSystem._note_throughput(
+            "memory_side",
+            len(trace) * max(len(cache_parts), len(branch_parts)),
+            time.perf_counter() - start)
+    return cache_parts, branch_parts
 
 
 @dataclass
 class MemorySideState:
-    """Cache and branch simulation outputs for one (trace, config) pair."""
+    """The cache and branch parts of one (trace, config) pair."""
 
-    dlevel: np.ndarray
-    ilevel: np.ndarray
-    cache_stats: dict[str, CacheStats]
-    mem_lines: int
-    mispredicted: np.ndarray
-    branch_stats: BranchStats
+    cache: CachePart
+    branch: BranchPart
+
+    @property
+    def dlevel(self) -> np.ndarray:
+        return self.cache.dlevel
+
+    @property
+    def ilevel(self) -> np.ndarray:
+        return self.cache.ilevel
+
+    @property
+    def cache_stats(self) -> dict[str, CacheStats]:
+        return self.cache.stats
+
+    @property
+    def mem_lines(self) -> int:
+        return self.cache.mem_lines
+
+    @property
+    def mispredicted(self) -> np.ndarray:
+        return self.branch.mispredicted
+
+    @property
+    def branch_stats(self) -> BranchStats:
+        return self.branch.stats
 
     @property
     def llc_miss_rate(self) -> float:
-        return self.cache_stats["L3"].miss_rate
+        return self.cache.llc_miss_rate
 
 
 @dataclass
@@ -86,22 +169,9 @@ class SimulatedSystem:
         ``scalar``); by default the ``REPRO_SIM_BACKEND`` environment
         variable decides, falling back to ``auto``.
         """
-        start = time.perf_counter() if TELEMETRY.enabled else 0.0
-        arrays = trace.arrays()
-        cache_result = simulate_cache_hierarchy(arrays, self.config,
-                                                backend=backend)
-        mispredicted, branch_stats = simulate_branches(
-            arrays, self.config.branch, backend=backend)
-        if TELEMETRY.enabled:
-            self._note_throughput("memory_side", len(trace),
-                                  time.perf_counter() - start)
-        return MemorySideState(
-            dlevel=cache_result.dlevel,
-            ilevel=cache_result.ilevel,
-            cache_stats=cache_result.stats,
-            mem_lines=cache_result.mem_lines,
-            mispredicted=mispredicted,
-            branch_stats=branch_stats)
+        (cache,), (branch,) = simulate_parts(trace, [self.config],
+                                             [self.config], backend)
+        return MemorySideState(cache, branch)
 
     def run(self, trace: InstructionTrace, core: str = "ooo",
             state: MemorySideState | None = None,

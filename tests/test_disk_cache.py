@@ -14,6 +14,7 @@ from repro.experiments.diskcache import (
     CACHE_DIR_ENV,
     CACHE_TOGGLE_ENV,
     CACHE_VERIFY_ENV,
+    PART_KINDS,
     QUARANTINE_DIR,
     DiskCache,
     cache_root,
@@ -21,8 +22,9 @@ from repro.experiments.diskcache import (
     file_sha256,
 )
 from repro.experiments.resilience import FaultPlan, FaultSpec
-from repro.experiments.runner import ExperimentRunner, memory_side_key
+from repro.experiments.runner import ExperimentRunner
 from repro.telemetry import TELEMETRY
+from repro.uarch.system import branch_part_key, cache_part_key
 
 
 def fresh_runner(tmp_path, name="cache"):
@@ -113,16 +115,21 @@ def test_key_covers_run_parameters(tmp_path):
 
 
 def test_state_key_covers_geometry_but_not_latency():
+    """Each part key covers its own geometry, and ignores the other
+    part's geometry and every latency."""
     base = skylake_config()
-    assert memory_side_key(base) == memory_side_key(
-        base.with_memory_latency(400))
-    assert memory_side_key(base) != memory_side_key(
-        base.with_llc_size(base.l3.size * 2))
-    assert memory_side_key(base) != memory_side_key(
-        base.with_line_size(128))
-    assert memory_side_key(base) != memory_side_key(
-        base.with_branch_scale(0.5))
-    assert memory_side_key(base) != memory_side_key(scaled_config(4))
+    cache_axes = (base.with_llc_size(base.l3.size * 2),
+                  base.with_line_size(128), scaled_config(4))
+    branch_axes = (base.with_branch_scale(0.5),)
+    other_axes = (base.with_memory_latency(400),
+                  base.with_memory_bandwidth(200),
+                  base.with_issue_width(8))
+    for key, own, foreign in ((cache_part_key, cache_axes, branch_axes),
+                              (branch_part_key, branch_axes, cache_axes)):
+        for config in own:
+            assert key(config) != key(base), (key.__name__, config)
+        for config in foreign + other_axes:
+            assert key(config) == key(base), (key.__name__, config)
 
 
 def test_corrupt_entries_fall_back_to_recompute(tmp_path):
@@ -269,10 +276,11 @@ def test_invalid_json_sidecar_quarantined_once(tmp_path):
 def test_flipped_byte_in_state_npz_quarantined_and_recomputed(tmp_path):
     from repro import telemetry
     original = _populate_state(tmp_path)
-    npz, _ = _entry_paths(tmp_path, "states")
-    payload = bytearray(npz.read_bytes())
-    payload[len(payload) // 2] ^= 0xFF
-    npz.write_bytes(bytes(payload))
+    for kind in PART_KINDS:
+        npz, _ = _entry_paths(tmp_path, kind)
+        payload = bytearray(npz.read_bytes())
+        payload[len(payload) // 2] ^= 0xFF
+        npz.write_bytes(bytes(payload))
     telemetry.enable()
     telemetry.reset()
     reader = fresh_runner(tmp_path)
@@ -280,8 +288,49 @@ def test_flipped_byte_in_state_npz_quarantined_and_recomputed(tmp_path):
                                     skylake_config())
     assert np.array_equal(original.dlevel, recomputed.dlevel)
     assert original.cache_stats == recomputed.cache_stats
-    assert _counter("cache.checksum_mismatch{kind=states}") == 1
-    assert _counter("cache.quarantined{kind=states}") == 1
+    assert np.array_equal(original.mispredicted, recomputed.mispredicted)
+    assert original.branch_stats == recomputed.branch_stats
+    for kind in PART_KINDS:
+        assert _counter(f"cache.checksum_mismatch{{kind={kind}}}") == 1
+        assert _counter(f"cache.quarantined{{kind={kind}}}") == 1
+    # The recompute re-stored clean parts: the next reader hits them.
+    again = fresh_runner(tmp_path)
+    again.memory_side(again.run(**_RUN), skylake_config())
+    assert _counter("cache.quarantined") == 2
+
+
+@pytest.mark.parametrize("kind", ["cache_part", "branch_part"])
+def test_wrong_length_part_quarantined_once_and_recomputed(tmp_path,
+                                                          kind):
+    """A part that parses cleanly but was filed under another trace's
+    key (a cache dir copied across checkouts) is a miss, not poison."""
+    from repro import telemetry
+    config = skylake_config()
+    writer = fresh_runner(tmp_path)
+    handle = writer.run(**_RUN)
+    original = writer.memory_side(handle, config)
+    short = writer.run("nbody", runtime="pypy", jit=True,
+                       nursery=64 * 1024)
+    wrong = writer.memory_side(short, config)
+    assert len(short.trace) != len(handle.trace)
+    disk_kind = kind + "s"
+    geometry = (cache_part_key if kind == "cache_part"
+                else branch_part_key)(config)
+    key = content_key(writer._part_key_params(handle, kind, geometry))
+    writer.disk_cache.store_state(
+        disk_kind, key, wrong.cache if kind == "cache_part"
+        else wrong.branch)
+    telemetry.enable()
+    telemetry.reset()
+    reader = fresh_runner(tmp_path)
+    recomputed = reader.memory_side(reader.run(**_RUN), config)
+    assert np.array_equal(original.dlevel, recomputed.dlevel)
+    assert np.array_equal(original.mispredicted, recomputed.mispredicted)
+    assert _counter(f"cache.shape_mismatch{{kind={disk_kind}}}") == 1
+    assert _counter(f"cache.quarantined{{kind={disk_kind}}}") == 1
+    again = fresh_runner(tmp_path)
+    again.memory_side(again.run(**_RUN), config)
+    assert _counter("cache.quarantined") == 1
 
 
 def test_orphaned_npz_is_removed_not_quarantined(tmp_path):
@@ -301,15 +350,19 @@ def test_orphaned_npz_is_removed_not_quarantined(tmp_path):
 def test_orphaned_sidecar_is_dropped(tmp_path):
     from repro import telemetry
     _populate_state(tmp_path)
-    npz, meta = _entry_paths(tmp_path, "states")
-    npz.unlink()
+    metas = []
+    for kind in PART_KINDS:
+        npz, meta = _entry_paths(tmp_path, kind)
+        npz.unlink()
+        metas.append(meta)
     telemetry.enable()
     telemetry.reset()
     reader = fresh_runner(tmp_path)
     state = reader.memory_side(reader.run(**_RUN), skylake_config())
     assert state is not None
-    assert _counter("cache.orphans_removed{kind=states}") == 1
-    assert not meta.exists() or json.loads(meta.read_text())
+    for kind, meta in zip(PART_KINDS, metas):
+        assert _counter(f"cache.orphans_removed{{kind={kind}}}") == 1
+        assert not meta.exists() or json.loads(meta.read_text())
 
 
 def test_sidecar_hash_tamper_detected_unless_verify_off(tmp_path,
@@ -353,7 +406,7 @@ def test_stale_tmp_litter_is_swept(tmp_path):
     _populate_state(tmp_path)
     root = tmp_path / "cache"
     stale_a = root / "traces" / "dead.npz.tmp123"
-    stale_b = root / "states" / "dead.json.tmp9"
+    stale_b = root / "cache_parts" / "dead.json.tmp9"
     fresh = root / "traces" / "live.npz.tmp7"
     for path in (stale_a, stale_b, fresh):
         path.write_bytes(b"partial")
@@ -396,8 +449,9 @@ def test_usage_counts_entries_and_quarantine(tmp_path):
     cache = DiskCache(tmp_path / "cache")
     usage = cache.usage()
     assert usage["traces"]["entries"] == 1
-    assert usage["states"]["entries"] == 1
-    assert usage["entries"] == 2
+    assert usage["cache_parts"]["entries"] == 1
+    assert usage["branch_parts"]["entries"] == 1
+    assert usage["entries"] == 3
     assert usage["bytes"] > 0
     npz, _ = _entry_paths(tmp_path, "traces")
     key = npz.stem
@@ -459,8 +513,9 @@ def test_gc_reports_and_usage_counts_spill(tmp_path):
 def test_eviction_and_disk_refetch_count_as_spill(tmp_path):
     from repro import telemetry
     telemetry.enable()
+    # Room for one memory side: a cache part and a branch part.
     runner = ExperimentRunner(disk_cache=DiskCache(tmp_path / "cache"),
-                              trace_cache_size=1, state_cache_size=1)
+                              trace_cache_size=1, state_cache_size=2)
     runner.run("chaos", runtime="pypy", jit=True, nursery=64 * 1024)
     runner.run("nbody", runtime="pypy", jit=True, nursery=64 * 1024)
     assert _counter("cache.spilled{kind=trace}") == 1
@@ -469,10 +524,13 @@ def test_eviction_and_disk_refetch_count_as_spill(tmp_path):
     assert _counter("cache.spill_hits{kind=trace}") == 1
     handle = runner.last_handle
     state_a = runner.memory_side(handle, skylake_config())
+    # Same predictor, smaller caches: only the cache part is new.
     state_b = runner.memory_side(handle, scaled_config(1))
-    assert _counter("cache.spilled{kind=state}") == 1
+    assert state_b.branch is state_a.branch
+    assert _counter("cache.spilled{kind=cache_part}") == 1
+    assert _counter("cache.spilled{kind=branch_part}") == 0
     refetched = runner.memory_side(handle, skylake_config())
-    assert _counter("cache.spill_hits{kind=state}") == 1
+    assert _counter("cache.spill_hits{kind=cache_part}") == 1
     assert refetched.mem_lines == state_a.mem_lines
 
 
@@ -490,11 +548,11 @@ def test_no_spill_counters_when_disk_cache_disabled(tmp_path):
 
 
 def test_verify_entries_clean_cache_passes(tmp_path):
-    _populate_state(tmp_path)  # stores one trace + one state
+    _populate_state(tmp_path)  # stores one trace + two parts
     cache = DiskCache(tmp_path / "cache")
     stats = cache.verify_entries()
-    assert stats["checked"] == 2
-    assert stats["ok"] == 2
+    assert stats["checked"] == 3
+    assert stats["ok"] == 3
     assert stats["checksum_mismatches"] == 0
     assert stats["key_mismatches"] == 0
     # Fresh entries always record their key_params sidecar field.

@@ -43,9 +43,11 @@ def test_memory_side_reuse():
     config = skylake_config()
     a = runner.memory_side(handle, config)
     b = runner.memory_side(handle, config)
-    assert a is b
+    assert a.cache is b.cache and a.branch is b.branch
+    # Another LLC is another cache part; the predictor's part is shared.
     other = runner.memory_side(handle, config.with_llc_size(512 * 1024))
-    assert other is not a
+    assert other.cache is not a.cache
+    assert other.branch is a.branch
 
 
 def test_simulate_cores():

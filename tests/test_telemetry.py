@@ -289,8 +289,9 @@ def test_runner_spans_and_cache_counters():
                            runtime="pypy").value == 1
         assert metrics.get("runner.trace_cache.hit",
                            runtime="pypy").value == 1
-        assert metrics.get("runner.state_cache.miss").value == 1
-        assert metrics.get("runner.state_cache.hit").value == 1
+        # One lookup per part: a cache part and a branch part per call.
+        assert metrics.get("runner.state_cache.miss").value == 2
+        assert metrics.get("runner.state_cache.hit").value == 2
         assert metrics.get("guest.instructions",
                            runtime="pypy").value == len(handle.trace)
         names = [s["name"] for s in TELEMETRY.tracer.tree()]
@@ -318,9 +319,10 @@ def test_state_cache_keys_on_token_not_trace_id():
     assert h1.token != h2.token
     s1 = runner.memory_side(h1, config)
     s2 = runner.memory_side(h2, config)
-    assert s1 is not s2
-    # Cached: same handle + config returns the identical state.
-    assert runner.memory_side(h1, config) is s1
+    assert s1.cache is not s2.cache and s1.branch is not s2.branch
+    # Cached: same handle + config returns the identical parts.
+    again = runner.memory_side(h1, config)
+    assert again.cache is s1.cache and again.branch is s1.branch
 
 
 def test_cpython_run_counts_allocator_traffic():

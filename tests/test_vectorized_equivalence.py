@@ -102,17 +102,44 @@ _CONFIGS = {
 @pytest.mark.parametrize("backend", ["vector", "auto"])
 @pytest.mark.parametrize("config_name", sorted(_CONFIGS))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cache_engines_bit_identical(seed, config_name, backend):
+def test_cache_engines_bit_identical(seed, config_name, backend,
+                                    monkeypatch):
+    """Compiled LRU walk (kernels on) and NumPy waves (kernels off)."""
     arrays = random_trace(seed, 6000)
     config = _CONFIGS[config_name]()
     ref = simulate_cache_hierarchy_scalar(arrays, config)
-    out = simulate_cache_hierarchy(arrays, config, backend=backend)
-    assert np.array_equal(ref.dlevel, out.dlevel)
-    assert np.array_equal(ref.ilevel, out.ilevel)
-    assert ref.mem_lines == out.mem_lines
-    assert set(ref.stats) == set(out.stats)
-    for name in ref.stats:
-        assert ref.stats[name] == out.stats[name], name
+    for kernels in ("auto", "off"):
+        monkeypatch.setenv(_cc.KERNELS_ENV, kernels)
+        out = simulate_cache_hierarchy(arrays, config, backend=backend)
+        assert np.array_equal(ref.dlevel, out.dlevel), kernels
+        assert np.array_equal(ref.ilevel, out.ilevel), kernels
+        assert ref.mem_lines == out.mem_lines, kernels
+        assert set(ref.stats) == set(out.stats)
+        for name in ref.stats:
+            assert ref.stats[name] == out.stats[name], (kernels, name)
+
+
+@pytest.mark.parametrize("kernels", ["auto", "off"])
+@pytest.mark.parametrize("config_name", sorted(_CONFIGS))
+def test_llc_fan_out_matches_separate_runs(config_name, kernels,
+                                           monkeypatch):
+    """One upper walk replayed into several LLCs == one run per LLC."""
+    monkeypatch.setenv(_cc.KERNELS_ENV, kernels)
+    arrays = random_trace(5, 6000)
+    config = _CONFIGS[config_name]()
+    sizes = (config.l3.size // 4, config.l3.size, config.l3.size * 8)
+    l3s = [config.with_llc_size(size).l3 for size in sizes]
+    for backend in ("scalar", "vector", "auto"):
+        many = simulate_cache_hierarchy(arrays, config, backend=backend,
+                                        l3s=l3s)
+        assert len(many) == len(sizes)
+        for size, out in zip(sizes, many):
+            ref = simulate_cache_hierarchy_scalar(
+                arrays, config.with_llc_size(size))
+            assert np.array_equal(ref.dlevel, out.dlevel), size
+            assert np.array_equal(ref.ilevel, out.ilevel), size
+            assert ref.stats == out.stats, size
+            assert ref.mem_lines == out.mem_lines, size
 
 
 @pytest.mark.parametrize("backend", ["vector", "auto"])
