@@ -1,11 +1,10 @@
-"""Vectorized engine speedups on a 1M-instruction guest trace.
+"""Compiled and vectorized engine speedups on a 1M-instruction trace.
 
-Acceptance targets for the vectorization work, all on the same
-million-instruction deltablue trace with bit-identical outputs: the
-batched memory-side engines (the cache walk through its compiled LRU
-kernel; its NumPy-wave fallback is reported beside it) at least 5x
-over the scalar reference, the
-OOO core at least 3x, and a warm Figure 7 sweep axis at least 2x via
+Acceptance targets, all on the same million-instruction deltablue trace
+with bit-identical outputs: the memory side (the cache walk through its
+compiled LRU kernel plus the NumPy branch predictor) at least 5x over
+the scalar references, the OOO core's compiled kernel at least 3x over
+its scalar reference, and a warm Figure 7 sweep axis at least 2x via
 the batched config walk. The measured numbers land in
 ``benchmarks/results/vectorized_speed.txt``; in-test assertion floors
 sit below the targets so shared-runner noise does not flake the suite.
@@ -42,7 +41,7 @@ def _best_of(n, fn):
     return best, result
 
 
-def test_vectorized_speedup_on_megainstruction_trace(monkeypatch):
+def test_vectorized_speedup_on_megainstruction_trace():
     # deltablue on CPython at scale 2 emits a ~1.08M-instruction trace.
     runner = ExperimentRunner(scale=2)
     handle = runner.run("deltablue", runtime="cpython")
@@ -54,25 +53,16 @@ def test_vectorized_speedup_on_megainstruction_trace(monkeypatch):
     scalar_s, scalar_cache = _best_of(
         2, lambda: simulate_cache_hierarchy_scalar(arrays, config))
     vector_s, vector_cache = _best_of(
-        3, lambda: simulate_cache_hierarchy(arrays, config,
-                                            backend="auto"))
-    # The same engine without the compiled LRU walk: NumPy waves.
-    with monkeypatch.context() as patch:
-        patch.setenv("REPRO_KERNELS", "off")
-        waves_s, waves_cache = _best_of(
-            3, lambda: simulate_cache_hierarchy(arrays, config,
-                                                backend="auto"))
+        3, lambda: simulate_cache_hierarchy(arrays, config))
     scalar_bs, scalar_branch = _best_of(
         2, lambda: simulate_branches_scalar(arrays, config.branch))
     vector_bs, vector_branch = _best_of(
-        3, lambda: simulate_branches(arrays, config.branch,
-                                     backend="auto"))
+        3, lambda: simulate_branches(arrays, config.branch))
 
     # Identical outputs first: speed means nothing if the bits differ.
-    for cache in (vector_cache, waves_cache):
-        assert np.array_equal(scalar_cache.dlevel, cache.dlevel)
-        assert np.array_equal(scalar_cache.ilevel, cache.ilevel)
-        assert scalar_cache.stats == cache.stats
+    assert np.array_equal(scalar_cache.dlevel, vector_cache.dlevel)
+    assert np.array_equal(scalar_cache.ilevel, vector_cache.ilevel)
+    assert scalar_cache.stats == vector_cache.stats
     assert np.array_equal(scalar_branch[0], vector_branch[0])
     assert scalar_branch[1] == vector_branch[1]
 
@@ -84,11 +74,8 @@ def test_vectorized_speedup_on_megainstruction_trace(monkeypatch):
     save_text("vectorized_speed", "\n".join([
         "vectorized memory-side speedup (deltablue, cpython, scale 2)",
         f"trace length        : {n:,} instructions",
-        f"cache  scalar/vector: {scalar_s:.3f}s / {vector_s:.3f}s "
+        f"cache  scalar/LRU C : {scalar_s:.3f}s / {vector_s:.3f}s "
         f"({cache_speedup:.1f}x)",
-        f"cache  waves/LRU C  : {waves_s:.3f}s / {vector_s:.3f}s "
-        f"({waves_s / vector_s:.1f}x; NumPy waves are "
-        f"{scalar_s / waves_s:.1f}x over scalar)",
         f"branch scalar/vector: {scalar_bs:.3f}s / {vector_bs:.3f}s "
         f"({branch_speedup:.1f}x)",
         f"combined            : {total_scalar:.3f}s / "
@@ -102,7 +89,7 @@ def test_vectorized_speedup_on_megainstruction_trace(monkeypatch):
 
 
 def test_ooo_core_speedup_on_megainstruction_trace():
-    """OOO core: vector backend >= 3x the scalar walk, same bits."""
+    """OOO core: compiled kernel >= 3x the scalar walk, same bits."""
     runner = ExperimentRunner(scale=2)
     handle = runner.run("deltablue", runtime="cpython")
     arrays = handle.trace.arrays()
@@ -116,15 +103,14 @@ def test_ooo_core_speedup_on_megainstruction_trace():
                                      state.mispredicted, config))
     vector_s, vector_cycles = _best_of(
         3, lambda: ooo_cycles(arrays, state.dlevel, state.ilevel,
-                              state.mispredicted, config,
-                              backend="vector"))
+                              state.mispredicted, config))
     assert vector_cycles == scalar_cycles
     speedup = scalar_s / vector_s
     append_text("vectorized_speed", "\n".join([
         "",
         "OOO-core speedup (deltablue, cpython, scale 2)",
         f"trace length        : {n:,} instructions",
-        f"core   scalar/vector: {scalar_s:.3f}s / {vector_s:.3f}s "
+        f"core   scalar/C     : {scalar_s:.3f}s / {vector_s:.3f}s "
         f"({speedup:.1f}x)",
         "outputs             : bit-identical cycle counts",
         "acceptance          : >= 3x on a 1M-instruction trace",

@@ -10,8 +10,10 @@ module hands its C source to :func:`load`, which runs one
 ``cc -O2 -shared -fPIC`` into a private temp dir and loads the result
 through ctypes. Everything is best-effort: no compiler, a failed build,
 or ``REPRO_KERNELS=off`` all return ``None``, and each caller falls
-back to a bit-identical NumPy reference (a kernel is an evaluation
-order change, never a model change).
+back to bit-identical non-compiled code (a kernel is an evaluation
+order change, never a model change): the NumPy flush and varint paths
+for emission and the codec, and the scalar references for the cache
+hierarchy and the OOO core.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import tempfile
 import threading
 
 #: Environment switch: ``auto`` (default) compiles when possible,
-#: ``off`` disables every kernel (pure-NumPy paths).
+#: ``off`` disables every kernel (non-compiled fallbacks).
 KERNELS_ENV = "REPRO_KERNELS"
 
 

@@ -58,6 +58,7 @@ def run_probe(repeats: int = 3) -> dict:
     telemetry is enabled).
     """
     from ..config import skylake_config
+    from ..uarch import _lru_kernel, _ooo_kernel
     from ..uarch.system import SimulatedSystem
     from ..analysis.breakdown import breakdown_for_run
     from .diskcache import DiskCache
@@ -77,6 +78,10 @@ def run_probe(repeats: int = 3) -> dict:
             "sim.memory_side": 0.0,
             "sim.core.ooo": 0.0,
         }
+        # Build the simulation kernels up front: the gauges measure
+        # steady-state throughput, not a one-off compile.
+        _lru_kernel.get_kernel()
+        _ooo_kernel.get_kernel()
         state = None
         for _ in range(repeats):
             state = system.memory_side(handle.trace)

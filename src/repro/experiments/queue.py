@@ -448,9 +448,14 @@ class WorkQueue:
             target = self._dir(_LEASED) / name
             try:
                 os.rename(source, target)
+                # The rename kept the pending file's mtime, which may
+                # already read as an expired lease to a reclaimer.
+                os.utime(target)
             except OSError:
                 continue  # somebody else won this cell
             cell = _read_json(target)
+            if cell is None and not target.exists():
+                continue  # a reclaimer took it before the refresh
             if cell is None:
                 # Unparseable spec: nobody can ever run it.
                 self._poison_file(target, reason="unreadable cell spec")

@@ -1,14 +1,15 @@
 """Optional compiled kernel for one exact-LRU cache level.
 
-A set-associative LRU level is a sequential state machine, so the
-NumPy engine in :mod:`repro.uarch.cache` has to sort a stream into
-set-parallel waves before it can batch it. A ~40-line C loop walks the
-stream in program order instead: for each access it scans the set's
-ways, refreshes the recency stamp and dirty bit, and counts misses,
-evictions and writebacks. It keeps the wave engine's state layout (flat
-tag/stamp/dirty arrays, one clock), and :mod:`repro._cc` builds it at
-first use. Without it the wave engine runs, with the same contract:
-bit-identical hits and counters for every stream and geometry.
+A set-associative LRU level is a sequential state machine, so a ~40-line
+C loop walks an access stream in program order: for each access it
+scans the set's ways, refreshes the recency stamp and dirty bit, and
+counts misses, evictions and writebacks, over flat tag/stamp/dirty
+arrays and one clock. :mod:`repro._cc` builds it at first use. Without
+a compiler, or under ``REPRO_KERNELS=off``, the cache hierarchy falls
+back to the scalar reference
+(:func:`~repro.uarch.cache.simulate_cache_hierarchy_scalar`), with the
+same contract: bit-identical hits and counters for every stream and
+geometry.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 The OOO model is a pure forward max-plus recurrence over integer ticks
 (:func:`~repro.uarch.ooo_core.ooo_cycles_scalar`), so a ~60-line C loop
 reproduces it bit for bit at memory speed. :mod:`repro._cc` builds that
-loop at first use and the vectorized backend dispatches single-config
-walks to it, releasing the GIL so config sweeps can also thread.
-Without it the backend falls back to the batched-NumPy engine, with the
-same contract: bit-identical results for every trace and config.
+loop at first use; :func:`~repro.uarch.ooo_core.ooo_cycles_many`
+prepares a trace once and runs each config through it on a thread (the
+call releases the GIL). Without a compiler, or under
+``REPRO_KERNELS=off``, the OOO core falls back to the scalar reference,
+with the same contract: bit-identical results for every trace and
+config.
 """
 
 from __future__ import annotations
@@ -148,10 +150,6 @@ class PreparedTrace:
                 self.max_dep = int(self.dep[valid].max())
 
 
-def prepare(trace_arrays, dlevel, ilevel, mispredicted) -> PreparedTrace:
-    return PreparedTrace(trace_arrays, dlevel, ilevel, mispredicted)
-
-
 def run_prepared(prep: PreparedTrace, config) -> float:
     """One compiled walk of a prepared trace; == the scalar loop.
 
@@ -203,4 +201,4 @@ def run_kernel(trace_arrays, dlevel, ilevel, mispredicted, config) -> float:
     Callers must check :func:`get_kernel` first.
     """
     return run_prepared(
-        prepare(trace_arrays, dlevel, ilevel, mispredicted), config)
+        PreparedTrace(trace_arrays, dlevel, ilevel, mispredicted), config)

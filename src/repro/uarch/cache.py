@@ -16,49 +16,38 @@ Service levels returned by the simulation functions are encoded as:
  3    serviced by main memory
 ====  =================================
 
-Two interchangeable engines back :func:`simulate_cache_hierarchy`:
+Two engines back :func:`simulate_cache_hierarchy`, and it picks the same
+way every compiled model does:
 
-* the **scalar** engine walks one access at a time through MRU-ordered
-  tag lists (the original implementation, kept as the reference), and
-* the **vectorized** engine feeds each level a whole access stream at
-  once. Each level keeps flat tag/recency-stamp/dirty arrays and walks
-  the stream with the compiled exact-LRU loop of
-  :mod:`repro.uarch._lru_kernel`; without a compiler (or under
-  ``REPRO_KERNELS=off``) it batches with NumPy instead: accesses to
-  *different* sets are processed together in "waves" (an access lands
-  in wave ``k`` if it is the ``k``-th access to its set), and runs of
-  consecutive same-line accesses within a set collapse to one state
-  update plus guaranteed hits. All produce bit-identical service
-  levels and :class:`CacheStats`; ``tests/test_vectorized_equivalence.
-  py`` enforces that on randomized traces.
+* the **scalar** reference walks one access at a time through
+  MRU-ordered tag lists (:func:`simulate_cache_hierarchy_scalar`), and
+* the **compiled** engine feeds each level a whole access stream
+  through the exact-LRU C loop of :mod:`repro.uarch._lru_kernel`, over
+  flat tag/recency-stamp/dirty arrays.
 
-The engine is picked by the ``backend`` argument or the
-``REPRO_SIM_BACKEND`` environment variable (``auto``/``vector``/
-``scalar``). ``auto`` — the default — uses the vectorized engine but
-lets each NumPy level fall back to the scalar walk when the trace offers
-too little set-level parallelism to pay for the batched bookkeeping
-(tiny scaled caches, or streams dominated by a few hot sets); even then
-the run-collapse preprocessing applies, so the scalar walk only touches
-run heads.
+The compiled engine runs whenever the kernel is built; without a
+compiler, or under ``REPRO_KERNELS=off``, the scalar reference runs.
+Both produce bit-identical service levels and :class:`CacheStats`;
+``tests/test_vectorized_equivalence.py`` enforces that on randomized
+traces.
 
 The hierarchy is non-inclusive, so the LLC's input streams (the L2
 misses of the data path, then of the fetch path) do not depend on the
 LLC's own geometry. :func:`simulate_cache_hierarchy` therefore accepts
-several LLCs at once: the L1/L2 levels are walked once and their miss
-streams replayed into each LLC, in the order a single hierarchy would
-see them.
+several LLCs at once. The compiled engine walks the L1/L2 levels once
+and replays their miss streams into each LLC, in the order a single
+hierarchy would see them; the scalar reference runs each LLC's
+hierarchy in full.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..config import CacheConfig, MachineConfig
-from ..errors import ReproError
 from ..host.isa import InstrKind
 from . import _lru_kernel
 
@@ -228,294 +217,64 @@ def simulate_cache_hierarchy_scalar(trace_arrays: dict[str, np.ndarray],
 
 
 # ----------------------------------------------------------------------
-# Vectorized engine
+# Compiled engine
 # ----------------------------------------------------------------------
 
-#: Environment override for the simulation engine: auto/vector/scalar.
-SIM_BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-_BACKENDS = ("auto", "vector", "scalar")
-
-#: ``auto`` falls back to a scalar walk over collapsed run heads when a
-#: stream offers fewer concurrently-processable sets than this
-#: (breakeven between the fixed NumPy cost per wave and ~1 us per
-#: scalar access).
-_MIN_PARALLELISM = 12
-
-
-def _resolve_backend(backend: str | None) -> str:
-    if backend is None:
-        backend = os.environ.get(SIM_BACKEND_ENV) or "auto"
-    if backend not in _BACKENDS:
-        raise ReproError(
-            f"unknown simulation backend {backend!r}; "
-            f"choose from {_BACKENDS}")
-    return backend
-
-
-@dataclass
-class _Runs:
-    """Collapsed access runs scheduled into set-parallel waves.
-
-    Arrays are in wave-major order: ``wave_sizes[k]`` consecutive
-    entries form wave ``k``, and within a wave every run targets a
-    distinct set.
-    """
-
-    set: np.ndarray
-    tag: np.ndarray
-    write: np.ndarray
-    orig: np.ndarray     # original index of each run's head access
-    wave_sizes: np.ndarray
-    nruns: int
-
-    @property
-    def parallelism(self) -> float:
-        """Mean number of distinct sets available per wave."""
-        return self.nruns / max(len(self.wave_sizes), 1)
-
-
-class _VecLevel:
-    """One cache level fed whole access streams.
+class _CompiledLevel:
+    """One cache level fed whole access streams by the LRU kernel.
 
     State lives in flat ``num_sets * ways`` arrays: the resident tag,
     a recency stamp (-1 = empty way; larger = more recently used), and
     a dirty bit per way. Because LRU order only compares stamps within
     one set, a single monotonically increasing clock serves every set.
-    The compiled kernel walks a stream in order over these arrays; the
-    NumPy fallback processes it in set-parallel waves. Exactly
-    equivalent to :class:`_Level` fed the same stream.
+    Exactly equivalent to :class:`_Level` fed the same stream.
     """
 
-    __slots__ = ("config", "stats", "num_sets", "set_mask", "ways",
-                 "adaptive", "_tags", "_stamps", "_dirty", "_clock",
-                 "_mode", "_slists", "_sdirty", "_kernel")
+    __slots__ = ("stats", "set_mask", "ways", "_tags", "_stamps",
+                 "_dirty", "_clock", "_kernel")
 
-    def __init__(self, config: CacheConfig, adaptive: bool) -> None:
-        self.config = config
+    def __init__(self, config: CacheConfig, kernel) -> None:
         self.stats = CacheStats(config.name)
-        self.num_sets = config.num_sets
-        self.set_mask = self.num_sets - 1
+        self.set_mask = config.num_sets - 1
         self.ways = config.ways
-        self.adaptive = adaptive
-        self._tags: np.ndarray | None = None
-        self._stamps: np.ndarray | None = None
-        self._dirty: np.ndarray | None = None
+        size = config.num_sets * config.ways
+        self._tags = np.full(size, -1, dtype=np.int64)
+        self._stamps = np.full(size, -1, dtype=np.int64)
+        self._dirty = np.zeros(size, dtype=bool)
         self._clock = 1
-        #: "vector" or "scalar"; chosen on the first non-empty stream
-        #: and sticky afterwards (the two representations differ).
-        self._mode: str | None = None
-        self._slists: list[list[int]] | None = None
-        self._sdirty: set[tuple[int, int]] | None = None
-        #: Fixed for the level's lifetime, so one level never mixes
-        #: engines even if ``REPRO_KERNELS`` changes mid-run.
-        self._kernel = _lru_kernel.get_kernel()
-
-    def _state_arrays(self):
-        if self._tags is None:
-            size = self.num_sets * self.ways
-            self._tags = np.full(size, -1, dtype=np.int64)
-            self._stamps = np.full(size, -1, dtype=np.int64)
-            self._dirty = np.zeros(size, dtype=bool)
-        return self._tags, self._stamps, self._dirty
-
-    # -- preprocessing --------------------------------------------------
-
-    def _prepare(self, lines: np.ndarray, writes: np.ndarray):
-        """Sort into per-set runs and schedule them into waves."""
-        # Stage 1: collapse temporally-consecutive same-line accesses
-        # (interpreter stack traffic) before paying for the sort.
-        n = len(lines)
-        keep = np.empty(n, dtype=bool)
-        keep[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        k_idx = np.nonzero(keep)[0]
-        any_writes = bool(writes.any())
-        if len(k_idx) != n:
-            lines = lines[k_idx]
-            if any_writes:
-                writes = np.logical_or.reduceat(writes, k_idx)
-        m = len(lines)
-        # Stage 2: sort by set; collapse runs of consecutive same-tag
-        # accesses within a set. Only each run's head touches LRU
-        # state; the tail accesses are guaranteed hits that merely OR
-        # their write bit into dirty. 16-bit sort keys take NumPy's
-        # radix path, ~5x faster than the 32-bit merge sort.
-        set_dtype = np.uint16 if self.num_sets <= 65536 else np.int32
-        sets = (lines & self.set_mask).astype(set_dtype)
-        order = np.argsort(sets, kind="stable")
-        s_sets = sets[order]
-        s_tags = lines[order] >> 1  # same injective tag fn as _Level
-        head = np.empty(m, dtype=bool)
-        head[0] = True
-        np.logical_or(s_sets[1:] != s_sets[:-1],
-                      s_tags[1:] != s_tags[:-1], out=head[1:])
-        run_start = np.nonzero(head)[0]
-        if any_writes:
-            run_write = np.logical_or.reduceat(writes[order], run_start)
-        else:
-            run_write = np.zeros(len(run_start), dtype=bool)
-        run_set = s_sets[run_start]
-        run_tag = s_tags[run_start]
-        run_orig = k_idx[order[run_start]]
-        nruns = len(run_start)
-        # Wave id = occurrence rank of the run within its set.
-        idx = np.arange(nruns)
-        set_head = np.empty(nruns, dtype=bool)
-        set_head[0] = True
-        np.not_equal(run_set[1:], run_set[:-1], out=set_head[1:])
-        starts = idx[set_head]
-        counts = np.diff(np.append(starts, nruns))
-        rank = (idx - np.repeat(starts, counts)).astype(np.int32)
-        worder = np.argsort(rank, kind="stable")
-        wave_sizes = np.bincount(rank)
-        return _Runs(run_set[worder], run_tag[worder], run_write[worder],
-                     run_orig[worder], wave_sizes, nruns)
-
-    # -- engines --------------------------------------------------------
-
-    def _run_scalar(self, rsets: np.ndarray, rtags: np.ndarray,
-                    rwrites: np.ndarray) -> np.ndarray:
-        """MRU-list walk over run heads; same algorithm as _Level."""
-        if self._slists is None:
-            self._slists = [[] for _ in range(self.num_sets)]
-            self._sdirty = set()
-        slists, dirty, capacity = self._slists, self._sdirty, self.ways
-        misses = evictions = writebacks = 0
-        out = np.empty(len(rsets), dtype=bool)
-        i = 0
-        for set_idx, tag, write in zip(rsets.tolist(), rtags.tolist(),
-                                       rwrites.tolist()):
-            ways = slists[set_idx]
-            try:
-                pos = ways.index(tag)
-            except ValueError:
-                misses += 1
-                ways.insert(0, tag)
-                if len(ways) > capacity:
-                    victim = ways.pop()
-                    evictions += 1
-                    key = (set_idx, victim)
-                    if key in dirty:
-                        dirty.discard(key)
-                        writebacks += 1
-                if write:
-                    dirty.add((set_idx, tag))
-                out[i] = False
-            else:
-                if pos:
-                    ways.insert(0, ways.pop(pos))
-                if write:
-                    dirty.add((set_idx, tag))
-                out[i] = True
-            i += 1
-        stats = self.stats
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        return out
-
-    def _run_waves(self, w_set, w_tag, w_write, wave_sizes) -> np.ndarray:
-        ways = self.ways
-        tagf, stampf, dirtyf = self._state_arrays()
-        arange_ways = np.arange(ways)
-        hits_out = np.empty(len(w_set), dtype=bool)
-        misses = evictions = writebacks = 0
-        clock = self._clock
-        pos = 0
-        for size in wave_sizes.tolist():
-            end = pos + size
-            st = w_set[pos:end]
-            tg = w_tag[pos:end]
-            wr = w_write[pos:end]
-            base = st.astype(np.int64) * ways
-            rows = base[:, None] + arange_ways
-            row_tags = tagf.take(rows)
-            row_stamps = stampf.take(rows)
-            eq = row_tags == tg[:, None]
-            eq &= row_stamps >= 0
-            hit = eq.any(axis=1)
-            way = np.where(hit, eq.argmax(axis=1),
-                           row_stamps.argmin(axis=1))
-            flat = base + way
-            victim_stamp = stampf.take(flat)
-            old_dirty = dirtyf.take(flat)
-            evict = ~hit
-            evict &= victim_stamp >= 0
-            wb = evict & old_dirty
-            misses += size - int(np.count_nonzero(hit))
-            evictions += int(np.count_nonzero(evict))
-            writebacks += int(np.count_nonzero(wb))
-            tagf[flat] = tg
-            stampf[flat] = clock
-            dirtyf[flat] = (hit & old_dirty) | wr
-            hits_out[pos:end] = hit
-            pos = end
-            clock += 1
-        self._clock = clock
-        stats = self.stats
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
-        return hits_out
+        self._kernel = kernel
 
     def access_many(self, lines: np.ndarray, writes: np.ndarray,
                     ) -> np.ndarray:
         """Process a stream of line accesses; returns per-access hits."""
-        n = len(lines)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
+        hits, (self._clock, misses, evictions, writebacks) = \
+            _lru_kernel.walk(self._kernel, lines, writes, self.set_mask,
+                             self.ways, self._tags, self._stamps,
+                             self._dirty, self._clock)
         stats = self.stats
-        stats.accesses += n
-        if self._kernel is not None:
-            hits, (self._clock, misses, evictions, writebacks) = \
-                _lru_kernel.walk(self._kernel, lines, writes,
-                                 self.set_mask, self.ways,
-                                 *self._state_arrays(), self._clock)
-            stats.misses += misses
-            stats.evictions += evictions
-            stats.writebacks += writebacks
-            return hits
-        runs = self._prepare(lines, writes)
-        if self._mode is None:
-            low = (self.num_sets < _MIN_PARALLELISM
-                   or runs.parallelism < _MIN_PARALLELISM)
-            self._mode = "scalar" if self.adaptive and low else "vector"
-        if self._mode == "scalar":
-            # Hot-set streams offer too few concurrent sets for waves to
-            # pay off; walk just the collapsed run heads scalar instead.
-            torder = np.argsort(runs.orig)
-            head_idx = runs.orig[torder]
-            head_hits = self._run_scalar(runs.set[torder],
-                                         runs.tag[torder],
-                                         runs.write[torder])
-        else:
-            head_idx = runs.orig
-            head_hits = self._run_waves(runs.set, runs.tag, runs.write,
-                                        runs.wave_sizes)
-        hits = np.ones(n, dtype=bool)  # collapsed tail accesses all hit
-        hits[head_idx] = head_hits
+        stats.accesses += len(lines)
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
         return hits
 
 
-def simulate_cache_hierarchy_vectorized(
+def simulate_cache_hierarchy_compiled(
         trace_arrays: dict[str, np.ndarray], config: MachineConfig,
-        adaptive: bool = True, l3s=None) -> list[HierarchySimResult]:
-    """Batched engine; bit-identical outputs to the scalar reference.
+        l3s, kernel) -> list[HierarchySimResult]:
+    """Level-at-a-time walk through the compiled LRU kernel.
 
-    Returns one result per LLC in ``l3s`` (default: ``config.l3``).
-    Each level sees the scalar engine's access order: L2 gets the data
-    path's L1D misses, then the fetch path's L1I misses, and every LLC
-    gets the L2 misses in that same order.
+    Returns one result per LLC in ``l3s``, each bit-identical to the
+    scalar reference. Each level sees the scalar engine's access order:
+    L2 gets the data path's L1D misses, then the fetch path's L1I
+    misses, and every LLC gets the L2 misses in that same order.
     """
-    if l3s is None:
-        l3s = (config.l3,)
     n = len(trace_arrays["pc"])
     dlevel = np.full(n, SERVICE_NONE, dtype=np.int8)
     ilevel = np.zeros(n, dtype=np.int8)
-    l1i = _VecLevel(config.l1i, adaptive)
-    l1d = _VecLevel(config.l1d, adaptive)
-    l2 = _VecLevel(config.l2, adaptive)
+    l1i = _CompiledLevel(config.l1i, kernel)
+    l1d = _CompiledLevel(config.l1d, kernel)
+    l2 = _CompiledLevel(config.l2, kernel)
     levels = (dlevel, ilevel)
     streams = []  # (L2-miss lines, writes, instruction index, slot)
     if n:
@@ -523,8 +282,8 @@ def simulate_cache_hierarchy_vectorized(
         kinds = trace_arrays["kind"]
         addrs = trace_arrays["addr"]
 
-        def upper(first: _VecLevel, lines: np.ndarray, writes: np.ndarray,
-                  slot: int, idx: np.ndarray) -> None:
+        def upper(first: _CompiledLevel, lines: np.ndarray,
+                  writes: np.ndarray, slot: int, idx: np.ndarray) -> None:
             """Send a stream through ``first`` -> L2, filling
             ``levels[slot]``; queue what L2 misses for the LLCs."""
             for level, service in ((first, SERVICE_L1), (l2, SERVICE_L2)):
@@ -555,7 +314,7 @@ def simulate_cache_hierarchy_vectorized(
 
     results = []
     for l3_config in l3s:
-        l3 = _VecLevel(l3_config, adaptive)
+        l3 = _CompiledLevel(l3_config, kernel)
         out = [level.copy() for level in levels]
         for lines, writes, idx, slot in streams:
             hits = l3.access_many(lines, writes)
@@ -571,25 +330,24 @@ def simulate_cache_hierarchy_vectorized(
 
 
 def simulate_cache_hierarchy(trace_arrays: dict[str, np.ndarray],
-                             config: MachineConfig,
-                             backend: str | None = None, l3s=None):
+                             config: MachineConfig, l3s=None):
     """Run the whole trace through a fresh cache hierarchy.
 
-    ``backend`` picks the engine (``auto``/``vector``/``scalar``;
-    default: the ``REPRO_SIM_BACKEND`` environment variable, else
-    ``auto``). All engines return bit-identical results; they differ
-    only in speed.
+    Uses the compiled LRU kernel when it is built, else the scalar
+    reference; both return bit-identical results.
 
     With ``l3s`` (a sequence of LLC :class:`CacheConfig`), returns a
     list with one result per LLC, each identical to a run of ``config``
-    with that LLC; the L1/L2 levels are walked only once for all of them.
+    with that LLC; with the kernel, the L1/L2 levels are walked only
+    once for all of them.
     """
-    backend = _resolve_backend(backend)
-    if backend == "scalar":
+    llcs = l3s if l3s is not None else (config.l3,)
+    kernel = _lru_kernel.get_kernel()
+    if kernel is None:
         results = [simulate_cache_hierarchy_scalar(
             trace_arrays, dataclasses.replace(config, l3=l3))
-            for l3 in (l3s if l3s is not None else (config.l3,))]
+            for l3 in llcs]
     else:
-        results = simulate_cache_hierarchy_vectorized(
-            trace_arrays, config, adaptive=backend == "auto", l3s=l3s)
+        results = simulate_cache_hierarchy_compiled(
+            trace_arrays, config, llcs, kernel)
     return results if l3s is not None else results[0]

@@ -28,31 +28,32 @@ Independent misses overlap up to the MSHR limit — memory-level
 parallelism falls out of the dependence model rather than being a
 parameter.
 
-Two interchangeable engines implement the model:
+Two engines implement the model:
 
-* the **scalar** engine below walks the trace one instruction at a time
-  (the reference), and
-* the **vectorized** engine in :mod:`~repro.uarch.ooo_vector` processes
-  the trace in blocks, solving each block's timing recurrences by
-  fixed-point relaxation built from exact prefix scans, and can batch a
-  whole config sweep through one walk of the trace
-  (:func:`ooo_cycles_many`).
+* the **scalar** reference below walks the trace one instruction at a
+  time (:func:`ooo_cycles_scalar`), and
+* the **compiled** engine in :mod:`~repro.uarch._ooo_kernel` runs the
+  same forward loop in C; :func:`ooo_cycles_many` prepares a trace once
+  per memory-side state and threads a config sweep over it (the kernel
+  releases the GIL).
 
-Both engines do all time arithmetic in integer **ticks** (``TICKS`` per
-cycle, a power of two), so every sum and max is exact and the two
-engines are bit-identical for any block size — the same discipline the
-memory-side engines use, extended to the core model's fractional issue
-intervals. ``REPRO_SIM_BACKEND=auto|vector|scalar`` (or the ``backend``
-argument) selects the engine, exactly as for the cache and branch
-simulations.
+The compiled engine runs whenever the kernel is built; without a
+compiler, or under ``REPRO_KERNELS=off``, the scalar reference runs.
+Both do all time arithmetic in integer **ticks** (``TICKS`` per cycle, a
+power of two), so every sum and max is exact and the two engines are
+bit-identical, fractional issue intervals included.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..config import MachineConfig
 from ..host.isa import KIND_LATENCY, InstrKind
+from . import _ooo_kernel
 
 #: Integer time resolution: ticks per clock cycle (power of two, so
 #: ``ticks / TICKS`` is an exact float division). 1/65536 of a cycle is
@@ -62,7 +63,6 @@ TICKS = 1 << TICK_BITS
 
 #: Maximum off-chip misses in flight (miss status holding registers).
 MSHRS = 10
-_MSHRS = MSHRS  # backwards-compatible alias
 
 #: Floor for the scalar engine's finish ring. The ring grows past this
 #: whenever the ROB or the largest dependence distance needs it (the
@@ -234,70 +234,62 @@ def ooo_cycles_scalar(trace_arrays: dict[str, np.ndarray],
     return max(last_finish, front) / TICKS
 
 
-#: Below this many instructions ``auto`` prefers the scalar walk — the
-#: vectorized engine's fixed per-call setup dominates on tiny traces.
-_AUTO_MIN_INSTRUCTIONS = 2048
-
-
 def ooo_cycles(trace_arrays: dict[str, np.ndarray], dlevel: np.ndarray,
                ilevel: np.ndarray, mispredicted: np.ndarray,
-               config: MachineConfig, backend: str | None = None) -> float:
+               config: MachineConfig) -> float:
     """Total cycles to execute the trace on the approximate OOO core.
 
-    ``backend`` selects the engine (``auto``/``vector``/``scalar``); by
-    default the ``REPRO_SIM_BACKEND`` environment variable decides,
-    falling back to ``auto``. All engines are bit-identical.
+    Runs the compiled kernel when it is built, else the scalar
+    reference; both are bit-identical.
     """
-    from .cache import _resolve_backend
-    resolved = _resolve_backend(backend)
-    n = len(trace_arrays["pc"])
-    if resolved == "scalar" or (resolved == "auto"
-                                and n < _AUTO_MIN_INSTRUCTIONS):
+    if _ooo_kernel.get_kernel() is None:
         return ooo_cycles_scalar(trace_arrays, dlevel, ilevel,
                                  mispredicted, config)
-    from .ooo_vector import ooo_cycles_many_vector
-    return ooo_cycles_many_vector(trace_arrays, dlevel, ilevel,
-                                  mispredicted, [config])[0]
+    return _ooo_kernel.run_kernel(trace_arrays, dlevel, ilevel,
+                                  mispredicted, config)
 
 
 def ooo_cycles_many(trace_arrays: dict[str, np.ndarray], states,
-                    configs, backend: str | None = None) -> list[float]:
-    """OOO cycles for many configs in (at most) one walk of the trace.
+                    configs) -> list[float]:
+    """OOO cycles for many configs over one trace.
 
     ``states`` and ``configs`` are parallel sequences; each state is a
     :class:`~repro.uarch.system.MemorySideState` (or anything with
     ``dlevel``/``ilevel``/``mispredicted`` arrays) matching its config's
-    memory-side geometry. Configs that share a state object — a latency
-    or issue-width sweep over one trace — are evaluated together by the
-    batched engine, which walks the trace once with a config axis
-    instead of once per point. Results come back in input order and are
-    bit-identical to per-config :func:`ooo_cycles` calls for every
-    backend.
+    memory-side geometry. With the compiled kernel, the trace is
+    prepared once per distinct state *object* — a latency or
+    issue-width sweep over one trace shares one — and that state's
+    configs run on threads. Results come back in input order and are bit-identical
+    to per-config :func:`ooo_cycles` calls.
     """
     if len(states) != len(configs):
         raise ValueError("states and configs must be parallel sequences")
-    from .cache import _resolve_backend
-    resolved = _resolve_backend(backend)
-    n = len(trace_arrays["pc"])
-    out: list[float | None] = [None] * len(configs)
-    if resolved == "scalar" or (resolved == "auto"
-                                and n < _AUTO_MIN_INSTRUCTIONS):
-        for i, (state, config) in enumerate(zip(states, configs)):
-            out[i] = ooo_cycles_scalar(trace_arrays, state.dlevel,
-                                       state.ilevel, state.mispredicted,
-                                       config)
-        return out
-    from .ooo_vector import ooo_cycles_many_vector
+    if _ooo_kernel.get_kernel() is None:
+        return [ooo_cycles_scalar(trace_arrays, state.dlevel, state.ilevel,
+                                  state.mispredicted, config)
+                for state, config in zip(states, configs)]
     groups: dict[int, tuple] = {}
     for i, (state, config) in enumerate(zip(states, configs)):
-        positions, _, cfgs = groups.setdefault(
-            id(state), ([], state, []))
+        positions, _, cfgs = groups.setdefault(id(state), ([], state, []))
         positions.append(i)
         cfgs.append(config)
+    out: list[float] = [0.0] * len(configs)
     for positions, state, cfgs in groups.values():
-        cycles = ooo_cycles_many_vector(trace_arrays, state.dlevel,
-                                        state.ilevel, state.mispredicted,
-                                        cfgs)
-        for pos, value in zip(positions, cycles):
-            out[pos] = value
+        for i, value in zip(positions, _kernel_group(trace_arrays, state,
+                                                      cfgs)):
+            out[i] = value
     return out
+
+
+def _kernel_group(trace_arrays, state, configs) -> list[float]:
+    """Kernel runs of one memory-side state: one prepared trace, the
+    configs on threads."""
+    prep = _ooo_kernel.PreparedTrace(trace_arrays, state.dlevel,
+                                     state.ilevel, state.mispredicted)
+    if len(configs) == 1:
+        return [_ooo_kernel.run_prepared(prep, configs[0])]
+    workers = min(len(configs), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(
+            lambda config: _ooo_kernel.run_prepared(prep, config),
+            configs))

@@ -53,7 +53,7 @@ def branch_part_key(config: MachineConfig) -> tuple:
 
 
 def simulate_parts(trace: InstructionTrace, cache_configs=(),
-                   branch_configs=(), backend: str | None = None,
+                   branch_configs=(),
                    ) -> tuple[list[CachePart], list[BranchPart]]:
     """Cache parts for ``cache_configs`` and branch parts for
     ``branch_configs``, in input order.
@@ -71,12 +71,11 @@ def simulate_parts(trace: InstructionTrace, cache_configs=(),
     cache_parts: list[CachePart | None] = [None] * len(cache_configs)
     for positions in groups.values():
         results = simulate_cache_hierarchy(
-            arrays, cache_configs[positions[0]], backend=backend,
+            arrays, cache_configs[positions[0]],
             l3s=[cache_configs[i].l3 for i in positions])
         for i, result in zip(positions, results):
             cache_parts[i] = result
-    branch_parts = [BranchPart(*simulate_branches(arrays, config.branch,
-                                                  backend=backend))
+    branch_parts = [BranchPart(*simulate_branches(arrays, config.branch))
                     for config in branch_configs]
     if TELEMETRY.enabled and (cache_parts or branch_parts):
         # One memory side's worth of instructions per config simulated.
@@ -161,29 +160,20 @@ class SimulatedSystem:
                 "sim.instructions_per_second",
                 stage=stage).set(instructions / elapsed)
 
-    def memory_side(self, trace: InstructionTrace,
-                    backend: str | None = None) -> MemorySideState:
-        """Run cache hierarchy and branch predictor over the trace.
-
-        ``backend`` selects the simulation engine (``auto``/``vector``/
-        ``scalar``); by default the ``REPRO_SIM_BACKEND`` environment
-        variable decides, falling back to ``auto``.
-        """
+    def memory_side(self, trace: InstructionTrace) -> MemorySideState:
+        """Run cache hierarchy and branch predictor over the trace."""
         (cache,), (branch,) = simulate_parts(trace, [self.config],
-                                             [self.config], backend)
+                                             [self.config])
         return MemorySideState(cache, branch)
 
     def run(self, trace: InstructionTrace, core: str = "ooo",
-            state: MemorySideState | None = None,
-            backend: str | None = None) -> SimResult:
+            state: MemorySideState | None = None) -> SimResult:
         """Simulate the trace end to end.
 
         ``core`` selects the timing model: ``"simple"`` for per-category
         attribution (Section IV-B.2) or ``"ooo"`` for the sweeps.
         A precomputed ``state`` may be passed to reuse memory-side
-        results. ``backend`` selects the core engine
-        (``auto``/``vector``/``scalar``; default ``REPRO_SIM_BACKEND``) —
-        all backends are bit-identical.
+        results.
         """
         arrays = trace.arrays()
         if state is None:
@@ -206,8 +196,7 @@ class SimulatedSystem:
                 per_instruction=per_instruction)
         if core == "ooo":
             cycles = ooo_cycles(arrays, state.dlevel, state.ilevel,
-                                state.mispredicted, self.config,
-                                backend=backend)
+                                state.mispredicted, self.config)
             if TELEMETRY.enabled:
                 self._note_throughput("core.ooo", len(trace),
                                       time.perf_counter() - start)
@@ -219,29 +208,26 @@ class SimulatedSystem:
 
     @staticmethod
     def run_many_configs(trace: InstructionTrace, configs,
-                         states, core: str = "ooo",
-                         backend: str | None = None) -> list[SimResult]:
+                         states, core: str = "ooo") -> list[SimResult]:
         """Simulate one trace under many configs in batched walks.
 
         ``configs`` and ``states`` are parallel sequences; configs that
         share a :class:`MemorySideState` *object* (a latency/bandwidth/
-        issue-width axis over one trace) are evaluated together by the
-        batched OOO engine, so the trace is walked once per distinct
-        state instead of once per config. Results are bit-identical to
-        per-config :meth:`run` calls, in input order.
+        issue-width axis over one trace) share one prepared trace in
+        :func:`~repro.uarch.ooo_core.ooo_cycles_many`, which runs the
+        configs on threads. Results are bit-identical to per-config
+        :meth:`run` calls, in input order.
         """
         if len(states) != len(configs):
             raise ValueError("states and configs must be parallel "
                              "sequences")
         if core != "ooo":
             return [SimulatedSystem(config).run(trace, core=core,
-                                                state=state,
-                                                backend=backend)
+                                                state=state)
                     for config, state in zip(configs, states)]
         arrays = trace.arrays()
         start = time.perf_counter() if TELEMETRY.enabled else 0.0
-        cycles = ooo_cycles_many(arrays, states, configs,
-                                 backend=backend)
+        cycles = ooo_cycles_many(arrays, states, configs)
         if TELEMETRY.enabled and cycles:
             SimulatedSystem._note_throughput(
                 "core.ooo", len(trace) * len(configs),

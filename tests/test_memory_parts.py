@@ -22,7 +22,9 @@ from repro.experiments import figures
 from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
 from repro.uarch import system
-from repro.uarch.system import SimulatedSystem
+from repro.uarch.branch import simulate_branches_scalar
+from repro.uarch.cache import simulate_cache_hierarchy_scalar
+from repro.uarch.system import BranchPart, MemorySideState
 
 
 def _full_axis_configs(base):
@@ -45,8 +47,11 @@ def test_runner_parts_match_per_config_scalar_runs(base):
         key = (config.l1i, config.l1d, config.l2, config.l3,
                config.branch)
         if key not in references:
-            references[key] = SimulatedSystem(config).memory_side(
-                handle.trace, backend="scalar")
+            arrays = handle.trace.arrays()
+            references[key] = MemorySideState(
+                simulate_cache_hierarchy_scalar(arrays, config),
+                BranchPart(*simulate_branches_scalar(arrays,
+                                                     config.branch)))
         ref = references[key]
         assert np.array_equal(state.dlevel, ref.dlevel), config
         assert np.array_equal(state.ilevel, ref.ilevel), config

@@ -249,6 +249,40 @@ def test_reclaim_expired_bumps_generation(tmp_path):
     assert history[0]["worker"] == "dead-worker"
 
 
+@pytest.mark.parametrize("skew", [0.0, 10.0])
+def test_reclaim_racing_a_claim_never_poisons(tmp_path, monkeypatch,
+                                              skew):
+    """A reclaimer that runs between a claim's rename and its read of
+    the spec. The cell waited in pending longer than a TTL, and the
+    rename keeps that old mtime: the claim must refresh it first, so a
+    reclaimer with a true clock leaves the lease alone (skew 0); one
+    whose clock is a TTL ahead takes the cell back to pending, and the
+    claimer must let it go instead of poisoning it as unreadable."""
+    from repro.experiments import queue as queue_mod
+    queue = _queue(tmp_path, ttl=1.0)
+    queue.publish(_cells(1))
+    (pending,) = (queue.directory / "pending").glob("*.json")
+    _backdate(pending, 5.0)
+    read_json = queue_mod._read_json
+    raced = []
+
+    def racing_read(path):
+        if not raced and path.parent.name == "leased":
+            raced.append(queue.reclaim_expired(now=time.time() + skew))
+        return read_json(path)
+
+    monkeypatch.setattr(queue_mod, "_read_json", racing_read)
+    claim = queue.claim("w1")
+    assert queue.counts()["poison"] == 0
+    if skew:
+        assert raced[0]["reclaimed"] == 1
+        assert claim is None
+        assert queue.counts()["pending"] == 1
+    else:
+        assert raced[0]["reclaimed"] == 0
+        assert claim is not None
+
+
 def test_reclaim_poisons_after_max_generations(tmp_path):
     queue = _queue(tmp_path, ttl=1.0, max_generations=1)
     queue.publish(_cells(1))

@@ -101,6 +101,18 @@ def _wait_for_inflight(server: SweepServer, count: int,
     raise AssertionError(f"never saw {count} requests in flight")
 
 
+def _wait_for_running(server: SweepServer, timeout: float = 10.0) -> None:
+    """Accepted is not yet running: wait for the scheduler to pick a
+    request, so a drain that follows finds it in flight."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with server._lock:
+            if server._current is not None:
+                return
+        time.sleep(0.01)
+    raise AssertionError("the scheduler never started a request")
+
+
 # ---------------------------------------------------------------------------
 # Units: token bucket, cost model, keys, endpoints, journal
 # ---------------------------------------------------------------------------
@@ -372,7 +384,7 @@ def test_drain_finishes_inflight_sheds_queued_and_resumes(tmp_path):
 
         running = threading.Thread(target=ask, args=("running", "r1"))
         running.start()
-        _wait_for_inflight(server, 1)
+        _wait_for_running(server)
         queued = threading.Thread(target=ask, args=("queued", "r2"))
         queued.start()
         _wait_for_inflight(server, 2)
@@ -410,7 +422,7 @@ def test_drain_past_grace_aborts_between_cells_then_resumes(tmp_path):
 
         thread = threading.Thread(target=ask)
         thread.start()
-        _wait_for_inflight(server, 1)
+        _wait_for_running(server)
         assert server.drain(grace=0.05) == 0
         thread.join(timeout=30)
         assert responses["victim"]["error"] == RETRY_AFTER

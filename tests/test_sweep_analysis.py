@@ -12,6 +12,7 @@ from repro.analysis.sweeps import (
     run_sweep,
 )
 from repro.config import skylake_config
+from repro.experiments.diskcache import DiskCache
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -53,27 +54,24 @@ def test_run_sweep_tiny():
 
 
 def test_run_sweep_identical_across_backends_and_jobs(monkeypatch):
-    """The Figure 7/9 engine: same grid bytes for every backend/jobs.
+    """The Figure 7/9 engine: same grid bytes for every engine/jobs.
 
-    Covers the batched ``simulate_many_configs`` path (vector, with and
-    without the compiled kernel) against the scalar reference, and the
-    ``jobs`` fan-out against the serial loop — all must agree exactly.
+    Covers the batched ``simulate_many_configs`` path with the compiled
+    kernels against the scalar references they fall back to under
+    ``REPRO_KERNELS=off``, and the ``jobs`` fan-out against the serial
+    loop — all must agree exactly. No disk cache: each pass simulates
+    its own memory sides instead of reading the previous pass's.
     """
     axes = quick_axes()
     results = {}
-    for name, backend, kernel in (("scalar", "scalar", "auto"),
-                                  ("numpy", "vector", "off"),
-                                  ("kernel", "vector", "auto"),
-                                  ("auto", "auto", "auto")):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
-        monkeypatch.setenv("REPRO_KERNELS", kernel)
-        runner = ExperimentRunner(scale=1)
-        results[name] = run_sweep(runner, ["sym_sum"], axes=axes).cpi
-    assert results["scalar"] == results["numpy"] == results["kernel"] \
-        == results["auto"]
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "auto")
-    parallel = run_sweep(ExperimentRunner(scale=1), ["sym_sum"],
-                         axes=axes, jobs=2)
+    for kernels in ("off", "auto"):
+        monkeypatch.setenv("REPRO_KERNELS", kernels)
+        runner = ExperimentRunner(scale=1, disk_cache=DiskCache(None))
+        results[kernels] = run_sweep(runner, ["sym_sum"], axes=axes).cpi
+    assert results["off"] == results["auto"]
+    parallel = run_sweep(
+        ExperimentRunner(scale=1, disk_cache=DiskCache(None)),
+        ["sym_sum"], axes=axes, jobs=2)
     assert parallel.cpi == results["auto"]
 
 

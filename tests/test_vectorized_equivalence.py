@@ -1,12 +1,14 @@
-"""Vectorized engines must match the scalar references bit for bit.
+"""Fast engines must match the scalar references bit for bit.
 
 Property-style checks: randomized traces (hot/cold address mixes,
 conditional/indirect branch patterns, dependence forests with long
-edges) run through both the scalar and the vectorized cache/branch/OOO
-engines, and every output the rest of the pipeline consumes — per-
-instruction service levels, mispredict flags, aggregate statistics,
-core cycle counts — must be bit-identical for every chunk size and for
-single- and batched-config walks alike.
+edges) run through the scalar references and through the engines the
+pipeline uses — the compiled cache and OOO kernels (or, under
+``REPRO_KERNELS=off``, the scalar fallback they dispatch to) and the
+NumPy branch predictor. Every output the rest of the pipeline consumes
+— per-instruction service levels, mispredict flags, aggregate
+statistics, core cycle counts — must be bit-identical for single- and
+batched-config walks alike.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from repro.host.isa import (
     KIND_LATENCY,
     InstrKind,
 )
-from repro.uarch import _ooo_kernel
+from repro.host.trace import InstructionTrace
+from repro.uarch import _ooo_kernel, ooo_core
 from repro.uarch.branch import (
     simulate_branches,
     simulate_branches_scalar,
@@ -47,7 +50,7 @@ from repro.uarch.ooo_core import (
     ooo_cycles_scalar,
     ring_size,
 )
-from repro.uarch.ooo_vector import CHUNK_ENV, ooo_cycles_many_vector
+from repro.uarch.system import simulate_parts
 
 _KINDS = (InstrKind.ALU, InstrKind.LOAD, InstrKind.STORE,
           InstrKind.BRANCH, InstrKind.ICALL, InstrKind.CALL,
@@ -99,18 +102,43 @@ _CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("backend", ["vector", "auto"])
+#: The two ways a trace reaches the cache and branch engines, used as a
+#: test axis: ``vector`` calls the engine function directly; ``auto``
+#: goes through :func:`simulate_parts`, the dispatch the pipeline uses
+#: (configs grouped by L1/L2 geometry, one predictor run per config).
+_ENTRIES = ["vector", "auto"]
+
+
+def _engine_parts(arrays, config: MachineConfig, entry: str):
+    """The cache result and the branch (mispredicts, stats) pair for
+    ``config`` over ``arrays``, reached through ``entry``."""
+    if entry == "vector":
+        return (simulate_cache_hierarchy(arrays, config),
+                simulate_branches(arrays, config.branch))
+    trace = InstructionTrace()
+    try:
+        columns = [arrays[name].tolist()
+                   for name in ("pc", "kind", "addr", "size", "flags")]
+        for pc, kind, addr, size, flags in zip(*columns):
+            trace.append(pc, kind, 0, addr, size, flags=flags)
+        (cache,), (branch,) = simulate_parts(trace, [config], [config])
+    finally:
+        trace.close()
+    return cache, (branch.mispredicted, branch.stats)
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
 @pytest.mark.parametrize("config_name", sorted(_CONFIGS))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cache_engines_bit_identical(seed, config_name, backend,
+def test_cache_engines_bit_identical(seed, config_name, entry,
                                     monkeypatch):
-    """Compiled LRU walk (kernels on) and NumPy waves (kernels off)."""
+    """Compiled LRU walk (kernels on) and its scalar fallback (off)."""
     arrays = random_trace(seed, 6000)
     config = _CONFIGS[config_name]()
     ref = simulate_cache_hierarchy_scalar(arrays, config)
     for kernels in ("auto", "off"):
         monkeypatch.setenv(_cc.KERNELS_ENV, kernels)
-        out = simulate_cache_hierarchy(arrays, config, backend=backend)
+        out, _ = _engine_parts(arrays, config, entry)
         assert np.array_equal(ref.dlevel, out.dlevel), kernels
         assert np.array_equal(ref.ilevel, out.ilevel), kernels
         assert ref.mem_lines == out.mem_lines, kernels
@@ -129,44 +157,43 @@ def test_llc_fan_out_matches_separate_runs(config_name, kernels,
     config = _CONFIGS[config_name]()
     sizes = (config.l3.size // 4, config.l3.size, config.l3.size * 8)
     l3s = [config.with_llc_size(size).l3 for size in sizes]
-    for backend in ("scalar", "vector", "auto"):
-        many = simulate_cache_hierarchy(arrays, config, backend=backend,
-                                        l3s=l3s)
-        assert len(many) == len(sizes)
-        for size, out in zip(sizes, many):
-            ref = simulate_cache_hierarchy_scalar(
-                arrays, config.with_llc_size(size))
-            assert np.array_equal(ref.dlevel, out.dlevel), size
-            assert np.array_equal(ref.ilevel, out.ilevel), size
-            assert ref.stats == out.stats, size
-            assert ref.mem_lines == out.mem_lines, size
+    many = simulate_cache_hierarchy(arrays, config, l3s=l3s)
+    assert len(many) == len(sizes)
+    for size, out in zip(sizes, many):
+        ref = simulate_cache_hierarchy_scalar(
+            arrays, config.with_llc_size(size))
+        assert np.array_equal(ref.dlevel, out.dlevel), size
+        assert np.array_equal(ref.ilevel, out.ilevel), size
+        assert ref.stats == out.stats, size
+        assert ref.mem_lines == out.mem_lines, size
 
 
-@pytest.mark.parametrize("backend", ["vector", "auto"])
+@pytest.mark.parametrize("entry", _ENTRIES)
 @pytest.mark.parametrize("scale", [1.0, 1 / 64])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_branch_engines_bit_identical(seed, scale, backend):
+def test_branch_engines_bit_identical(seed, scale, entry):
     arrays = random_trace(seed, 6000)
     config = BranchPredictorConfig(scale=scale)
     ref_mis, ref_stats = simulate_branches_scalar(arrays, config)
-    out_mis, out_stats = simulate_branches(arrays, config,
-                                           backend=backend)
+    machine = dataclasses.replace(skylake_config(), branch=config)
+    _, (out_mis, out_stats) = _engine_parts(arrays, machine, entry)
     assert np.array_equal(ref_mis, out_mis)
     assert ref_stats == out_stats
 
 
-def test_empty_trace_all_backends():
+def test_empty_trace_all_backends(monkeypatch):
     arrays = random_trace(0, 0)
     config = skylake_config()
-    for backend in ("scalar", "vector", "auto"):
-        result = simulate_cache_hierarchy(arrays, config, backend=backend)
+    for kernels in ("auto", "off"):
+        monkeypatch.setenv(_cc.KERNELS_ENV, kernels)
+        result = simulate_cache_hierarchy(arrays, config)
         assert len(result.dlevel) == 0
-        mis, _ = simulate_branches(arrays, config.branch, backend=backend)
+        mis, _ = simulate_branches(arrays, config.branch)
         assert len(mis) == 0
 
 
 # ----------------------------------------------------------------------
-# OOO core: scalar reference vs chunked/batched vector engine vs kernel
+# OOO core: scalar reference vs compiled kernel, single and batched
 # ----------------------------------------------------------------------
 
 _LOAD = int(InstrKind.LOAD)
@@ -203,18 +230,11 @@ def _ooo_sweep_configs() -> list[MachineConfig]:
             base.with_memory_bandwidth(200)]
 
 
-@pytest.mark.parametrize("chunk", [7, 1000, 16384])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_ooo_vector_bit_identical_any_chunk(seed, chunk, monkeypatch):
-    """NumPy relaxation path == scalar loop for any chunk size."""
-    monkeypatch.setenv(_cc.KERNELS_ENV, "off")
-    monkeypatch.setenv(CHUNK_ENV, str(chunk))
-    configs = _ooo_sweep_configs()
-    for n in (1, 3, 17, 1000, 5000):
-        trace, dl, il, misp = random_ooo_inputs(seed, n)
-        ref = [ooo_cycles_scalar(trace, dl, il, misp, c) for c in configs]
-        got = ooo_cycles_many_vector(trace, dl, il, misp, configs)
-        assert got == ref, (n, seed, chunk)
+@dataclasses.dataclass
+class _State:
+    dlevel: np.ndarray
+    ilevel: np.ndarray
+    mispredicted: np.ndarray
 
 
 def test_ooo_kernel_bit_identical():
@@ -225,7 +245,8 @@ def test_ooo_kernel_bit_identical():
     for seed, n in ((0, 2500), (1, 5000)):
         trace, dl, il, misp = random_ooo_inputs(seed, n)
         ref = [ooo_cycles_scalar(trace, dl, il, misp, c) for c in configs]
-        got = ooo_cycles_many_vector(trace, dl, il, misp, configs)
+        state = _State(dl, il, misp)
+        got = ooo_cycles_many(trace, [state] * len(configs), configs)
         assert got == ref
         one = [_ooo_kernel.run_kernel(trace, dl, il, misp, c)
                for c in configs]
@@ -233,23 +254,37 @@ def test_ooo_kernel_bit_identical():
 
 
 @pytest.mark.parametrize("backend", ["scalar", "vector", "auto"])
-def test_ooo_backend_arg_dispatch(backend):
+def test_ooo_backend_arg_dispatch(backend, monkeypatch):
+    """``scalar`` (``REPRO_KERNELS=off``) must run the scalar reference;
+    ``auto`` (:func:`ooo_cycles`) and ``vector`` (the batched
+    :func:`ooo_cycles_many`) must run the kernel whenever it is built."""
     trace, dl, il, misp = random_ooo_inputs(3, 4000)
     config = skylake_config()
     ref = ooo_cycles_scalar(trace, dl, il, misp, config)
-    assert ooo_cycles(trace, dl, il, misp, config, backend=backend) == ref
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ooo_cycles_scalar(*args)
+
+    monkeypatch.setattr(ooo_core, "ooo_cycles_scalar", counted)
+    monkeypatch.setenv(_cc.KERNELS_ENV,
+                       "off" if backend == "scalar" else "auto")
+    if backend == "vector":
+        got = ooo_cycles_many(trace, [_State(dl, il, misp)], [config])
+        assert got == [ref]
+    else:
+        assert ooo_cycles(trace, dl, il, misp, config) == ref
+    kernel_built = _ooo_kernel.get_kernel() is not None
+    assert len(calls) == (0 if kernel_built else 1)
+    if backend == "scalar":
+        assert not kernel_built
 
 
-def test_ooo_many_configs_matches_per_config_runs():
-    """Batched walk == per-config walks, in input order, shared or
-    distinct states, mixed ROB sizes included."""
-
-    @dataclasses.dataclass
-    class _State:
-        dlevel: np.ndarray
-        ilevel: np.ndarray
-        mispredicted: np.ndarray
-
+def test_ooo_many_configs_matches_per_config_runs(monkeypatch):
+    """Batched walk == per-config scalar walks, in input order, shared
+    or distinct states, mixed ROB sizes included, with the kernel and
+    with its scalar fallback."""
     trace, dl, il, misp = random_ooo_inputs(4, 6000)
     shared = _State(dl, il, misp)
     dl2, il2, misp2 = dl.copy(), il.copy(), misp.copy()
@@ -257,12 +292,13 @@ def test_ooo_many_configs_matches_per_config_runs():
     other = _State(dl2, il2, misp2)
     configs = _ooo_sweep_configs()
     states = [shared, shared, shared, other, shared, other]
-    for backend in ("scalar", "vector", "auto"):
-        ref = [ooo_cycles(trace, s.dlevel, s.ilevel, s.mispredicted, c,
-                          backend="scalar")
-               for s, c in zip(states, configs)]
-        got = ooo_cycles_many(trace, states, configs, backend=backend)
-        assert got == ref, backend
+    ref = [ooo_cycles_scalar(trace, s.dlevel, s.ilevel, s.mispredicted, c)
+           for s, c in zip(states, configs)]
+    for kernels in ("auto", "off"):
+        monkeypatch.setenv(_cc.KERNELS_ENV, kernels)
+        assert ooo_cycles_many(trace, states, configs) == ref, kernels
+        assert [ooo_cycles(trace, s.dlevel, s.ilevel, s.mispredicted, c)
+                for s, c in zip(states, configs)] == ref, kernels
 
 
 def test_ooo_long_dependence_and_large_rob_regression():
@@ -286,9 +322,7 @@ def test_ooo_long_dependence_and_large_rob_regression():
     assert ring_size(8192, trace["dep"]) > 8192
     for config in (base, huge_rob):
         ref = ooo_cycles_scalar(trace, dl, il, misp, config)
-        for backend in ("vector", "auto"):
-            assert ooo_cycles(trace, dl, il, misp, config,
-                              backend=backend) == ref
+        assert ooo_cycles(trace, dl, il, misp, config) == ref
 
 
 def test_kind_latency_table_derived_from_isa():
@@ -304,13 +338,14 @@ def test_ooo_empty_and_tiny_traces():
              "kind": np.zeros(0, dtype=np.int64),
              "dep": np.zeros(0, dtype=np.int64)}
     zeros = np.zeros(0, dtype=np.int64)
-    assert ooo_cycles_many_vector(empty, zeros, zeros,
-                                  zeros.astype(bool), [config]) == [0.0]
-    assert ooo_cycles_many_vector(empty, zeros, zeros,
-                                  zeros.astype(bool), []) == []
-    trace, dl, il, misp = random_ooo_inputs(6, 1)
-    ref = ooo_cycles_scalar(trace, dl, il, misp, config)
-    assert ooo_cycles_many_vector(trace, dl, il, misp, [config]) == [ref]
+    state = _State(zeros, zeros, zeros.astype(bool))
+    assert ooo_cycles_many(empty, [state], [config]) == [0.0]
+    assert ooo_cycles_many(empty, [], []) == []
+    for n in (1, 3, 17):
+        trace, dl, il, misp = random_ooo_inputs(6, n)
+        ref = ooo_cycles_scalar(trace, dl, il, misp, config)
+        state = _State(dl, il, misp)
+        assert ooo_cycles_many(trace, [state], [config]) == [ref]
 
 
 def test_real_guest_trace_bit_identical(pypy_run):
@@ -323,13 +358,12 @@ def test_real_guest_trace_bit_identical(pypy_run):
     arrays = machine.trace.arrays()
     config = skylake_config()
     ref = simulate_cache_hierarchy_scalar(arrays, config)
-    out = simulate_cache_hierarchy(arrays, config, backend="vector")
+    out = simulate_cache_hierarchy(arrays, config)
     assert np.array_equal(ref.dlevel, out.dlevel)
     assert np.array_equal(ref.ilevel, out.ilevel)
     for name in ref.stats:
         assert ref.stats[name] == out.stats[name], name
     ref_mis, ref_stats = simulate_branches_scalar(arrays, config.branch)
-    out_mis, out_stats = simulate_branches(arrays, config.branch,
-                                           backend="vector")
+    out_mis, out_stats = simulate_branches(arrays, config.branch)
     assert np.array_equal(ref_mis, out_mis)
     assert ref_stats == out_stats
